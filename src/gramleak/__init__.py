@@ -40,7 +40,6 @@ from .numkit import (
     RankDeficient,
     as_matrix,
     as_vector,
-    matmul,
     rank,
     round_integral,
     solve_linear,

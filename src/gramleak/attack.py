@@ -36,6 +36,7 @@ class RecoveredSystem:
 
     alpha: np.ndarray  # (d, d) int64, symmetric PSD
     beta: np.ndarray  # (d,) int64
+    max_integrality_residual: float = 0.0  # worst distance of a solved entry from its integer
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,8 @@ def recover_alpha_beta(
         )
     alpha = numkit.round_integral(alpha_raw, tol)
     beta = numkit.round_integral(beta_raw, tol)
-    return RecoveredSystem(alpha=alpha, beta=beta)
+    integrality = float(np.max(np.abs(solved - np.rint(solved))))
+    return RecoveredSystem(alpha=alpha, beta=beta, max_integrality_residual=integrality)
 
 
 def recover_gamma_eta(

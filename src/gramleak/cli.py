@@ -28,6 +28,7 @@ EXIT_SCREEN = 7
 EXIT_INFEASIBLE = 8
 EXIT_DEADLINE = 9
 EXIT_NO_LABELS = 10
+EXIT_UNVERIFIED = 11
 
 DEFAULT_GRID = "3,5,8,9,11x5,10,15,20"
 
@@ -162,17 +163,14 @@ def cmd_attack(transcript, tol, out):
     thetas = np.array([o.theta for o in observations])
     deltas = np.array([o.delta for o in observations])
     n_obs, d = thetas.shape
+    # Recovery raises RankDeficient unless each of the d + 1 design columns
+    # gets a pivot, and numkit.rank follows solve_linear's pivot rule, so the
+    # design of any recovered system has full column rank.
+    design_rank = d + 1
     out = out or "recovery.json"
     try:
         if t.config.mode == fedsim.SYNCHRONIZED:
             system = attack.recover_alpha_beta(observations, lr, tol)
-            design = np.column_stack(
-                [0.25 * lr * thetas, np.full(n_obs, -0.5 * lr)]
-            )
-            raw = np.column_stack(
-                [numkit.solve_linear(design, deltas[:, i]) for i in range(d)]
-            ).T
-            integrality = float(np.max(np.abs(raw - np.rint(raw))))
             fit = lr * (0.25 * thetas @ system.alpha - 0.5 * system.beta)
             report = {
                 "kind": "alpha_beta",
@@ -182,15 +180,14 @@ def cmd_attack(transcript, tol, out):
                 "beta": [int(v) for v in system.beta],
                 "diagnostics": {
                     "observations": n_obs,
-                    "design_rank": numkit.rank(design),
-                    "max_integrality_residual": integrality,
+                    "design_rank": design_rank,
+                    "max_integrality_residual": system.max_integrality_residual,
                     "max_fit_residual": float(np.max(np.abs(fit - deltas))),
                 },
             }
             summary = f"recovered integral system of width {d}"
         else:
             params = attack.recover_gamma_eta(observations, lr, tol)
-            design = np.column_stack([thetas, np.full(n_obs, -0.5 * lr)])
             fit = thetas @ params.gamma.T - 0.5 * lr * params.eta
             report = {
                 "kind": "gamma_eta",
@@ -200,7 +197,7 @@ def cmd_attack(transcript, tol, out):
                 "eta": [float(v) for v in params.eta],
                 "diagnostics": {
                     "observations": n_obs,
-                    "design_rank": numkit.rank(design),
+                    "design_rank": design_rank,
                     "max_fit_residual": float(np.max(np.abs(fit - deltas))),
                 },
             }
@@ -272,6 +269,11 @@ def cmd_reconstruct(report, batch_size, discover, max_m, limit, deadline,
         labels = reconstruct.recover_labels(first.x, beta)
     except reconstruct.NoConsistentLabels as exc:
         raise CliError(f"NoConsistentLabels: {exc}", EXIT_NO_LABELS)
+    check = reconstruct.verify_solution(
+        first.x, labels, attack.RecoveredSystem(alpha=alpha, beta=beta)
+    )
+    if not check.ok:
+        raise CliError(f"Unverified: {check.detail}", EXIT_UNVERIFIED)
     _write_json(out, {
         "m": m,
         "x": [[int(v) for v in row] for row in first.x],

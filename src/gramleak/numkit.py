@@ -56,13 +56,6 @@ def as_vector(values) -> np.ndarray:
     return a
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check naming both operands."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply shapes {np.shape(a)} and {np.shape(b)}")
-    return a @ b
-
-
 def solve_linear(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
     """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
 

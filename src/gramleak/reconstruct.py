@@ -2,11 +2,14 @@
 
 The leaked ``alpha = X'X`` pins every column sum (diagonal) and every pairwise
 column co-occurrence count (off-diagonal) of the secret m x d binary matrix.
-``build_model`` materializes the standard 0/1 linearization of those
-quadratic relations (auxiliary pair variables with if-then inequalities) for
-export, counting, and cross-checking against external tools. ``solve`` finds
-the actual matrices with a specialized depth-first search: columns are placed
-one at a time, and because rows of a candidate matrix may be permuted freely,
+``build_model`` screens alpha against necessary feasibility bounds and wraps
+it as the model of one batch size; the Gram matrix is the whole model.
+``export_model_text`` lists the standard 0/1 linearization of those quadratic
+relations (auxiliary pair variables with if-then inequalities) on demand from
+``(alpha, m)``, for cross-checking against external tools, and
+``IlpModel.constraint_count`` counts it in closed form. ``solve`` finds the
+actual matrices with a specialized depth-first search: columns are placed one
+at a time, and because rows of a candidate matrix may be permuted freely,
 rows are only distinguished by the pattern of already-placed columns. The
 search therefore branches on how many rows of each pattern group receive a 1
 in the new column, which enforces every column-sum and co-occurrence count
@@ -45,12 +48,6 @@ class NoConsistentLabels(ArithmeticError):
     """No sign labeling of the candidate batch reproduces the leaked beta."""
 
 
-class LinearConstraint(NamedTuple):
-    terms: tuple[tuple[str, int], ...]
-    sense: str  # '=', '<=' or '>='
-    rhs: int
-
-
 class CheckResult(NamedTuple):
     ok: bool
     detail: str | None
@@ -58,17 +55,16 @@ class CheckResult(NamedTuple):
 
 @dataclass(frozen=True)
 class IlpModel:
-    """Full 0/1 constraint system over the batch bits and pair variables."""
+    """Screened Gram matrix of a batch of ``m`` rows; its 0/1 system is implicit."""
 
     m: int
     d: int
-    alpha: np.ndarray  # (d, d) int64
-    constraints: tuple[LinearConstraint, ...]
+    alpha: np.ndarray  # (d, d) int64, read-only
 
     @property
     def constraint_count(self) -> int:
-        """Constraints actually materialized (one per unordered pair)."""
-        return len(self.constraints)
+        """Constraints in the exported listing (one group per unordered pair)."""
+        return self.d + (2 * self.m + 1) * self.d * (self.d - 1) // 2
 
     @property
     def ordered_constraint_count(self) -> int:
@@ -132,74 +128,59 @@ def _screen(alpha: np.ndarray, m: int) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(a))))
     if float(np.min(np.linalg.eigvalsh(a))) < -PSD_TOL * scale:
         raise InfeasibleScreen("alpha is not positive semidefinite")
-    for i in range(d):
-        if not 0 <= ai[i, i] <= m:
+    diag = np.diag(ai)
+    bad = np.flatnonzero((diag < 0) | (diag > m))
+    if bad.size:
+        i = bad[0]
+        raise InfeasibleScreen(
+            f"diagonal alpha[{i},{i}] = {diag[i]} outside [0, {m}]; wrong batch size?"
+        )
+    # Columns i and j hold a_ij common ones, so together they cover
+    # a_ii + a_jj - a_ij of the m rows.
+    cap = np.minimum.outer(diag, diag)
+    union = diag[:, None] + diag[None, :] - ai
+    upper = np.triu(np.ones((d, d), dtype=bool), 1)
+    bad = np.argwhere(upper & ((ai < 0) | (ai > cap) | (union > m)))
+    if bad.size:
+        i, j = bad[0]
+        if ai[i, j] < 0:
+            raise InfeasibleScreen(f"alpha[{i},{j}] = {ai[i, j]} is negative")
+        if ai[i, j] > cap[i, j]:
             raise InfeasibleScreen(
-                f"diagonal alpha[{i},{i}] = {ai[i, i]} outside [0, {m}]; wrong batch size?"
+                f"alpha[{i},{j}] = {ai[i, j]} exceeds min of diagonals {cap[i, j]}"
             )
-    for i in range(d):
-        for j in range(i + 1, d):
-            bound = min(ai[i, i], ai[j, j])
-            if abs(ai[i, j]) > bound:
-                raise InfeasibleScreen(
-                    f"alpha[{i},{j}] = {ai[i, j]} exceeds min of diagonals {bound}"
-                )
+        raise InfeasibleScreen(
+            f"columns {i} and {j} cover {union[i, j]} rows, more than {m}; wrong batch size?"
+        )
     return ai
 
 
 def build_model(alpha: np.ndarray, m: int) -> IlpModel:
-    """Materialize the linearized 0/1 system for a leaked Gram matrix.
+    """Screen a leaked Gram matrix and wrap it as the model of batch size ``m``."""
+    ai = _screen(alpha, m)
+    ai.setflags(write=False)
+    return IlpModel(m=m, d=ai.shape[0], alpha=ai)
+
+
+def export_model_text(model: IlpModel) -> str:
+    """Plain-text listing of the linearized 0/1 system: variables, then constraints.
 
     Column sums are pinned by the diagonal; each unordered column pair gets
     one pair-sum equality over auxiliary pair variables plus, per row, the two
     if-then inequalities tying a pair variable to the product of its bits.
     """
-    ai = _screen(alpha, m)
-    d = ai.shape[0]
-    constraints: list[LinearConstraint] = []
+    m, d, alpha = model.m, model.d, model.alpha
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    lines = [f"binary x_{k}_{i}" for k in range(m) for i in range(d)]
+    lines += [f"binary delta_{i}_{j}_{k}" for i, j in pairs for k in range(m)]
     for i in range(d):
-        terms = tuple((f"x_{k}_{i}", 1) for k in range(m))
-        constraints.append(LinearConstraint(terms, "=", int(ai[i, i])))
-    for i in range(d):
-        for j in range(i + 1, d):
-            terms = tuple((f"delta_{i}_{j}_{k}", 1) for k in range(m))
-            constraints.append(LinearConstraint(terms, "=", int(ai[i, j])))
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(m):
-                xi, xj, dij = f"x_{k}_{i}", f"x_{k}_{j}", f"delta_{i}_{j}_{k}"
-                constraints.append(
-                    LinearConstraint(((xi, 1), (xj, 1), (dij, -2)), ">=", 0)
-                )
-                constraints.append(
-                    LinearConstraint(((xi, 1), (xj, 1), (dij, -1)), "<=", 1)
-                )
-    ai.setflags(write=False)
-    return IlpModel(m=m, d=d, alpha=ai, constraints=tuple(constraints))
-
-
-def export_model_text(model: IlpModel) -> str:
-    """Plain-text listing of the model: variables, then one constraint per line."""
-    lines = []
-    for k in range(model.m):
-        for i in range(model.d):
-            lines.append(f"binary x_{k}_{i}")
-    for i in range(model.d):
-        for j in range(i + 1, model.d):
-            for k in range(model.m):
-                lines.append(f"binary delta_{i}_{j}_{k}")
-    for constraint in model.constraints:
-        parts = []
-        for name, coef in constraint.terms:
-            if coef == 1:
-                parts.append(f"+ {name}" if parts else name)
-            elif coef == -1:
-                parts.append(f"- {name}")
-            elif coef < 0:
-                parts.append(f"- {-coef} {name}")
-            else:
-                parts.append(f"+ {coef} {name}" if parts else f"{coef} {name}")
-        lines.append(f"{' '.join(parts)} {constraint.sense} {constraint.rhs}")
+        lines.append(" + ".join(f"x_{k}_{i}" for k in range(m)) + f" = {alpha[i, i]}")
+    for i, j in pairs:
+        lines.append(" + ".join(f"delta_{i}_{j}_{k}" for k in range(m)) + f" = {alpha[i, j]}")
+    for i, j in pairs:
+        for k in range(m):
+            lines.append(f"x_{k}_{i} + x_{k}_{j} - 2 delta_{i}_{j}_{k} >= 0")
+            lines.append(f"x_{k}_{i} + x_{k}_{j} - delta_{i}_{j}_{k} <= 1")
     return "\n".join(lines) + "\n"
 
 
@@ -482,15 +463,16 @@ def discover_batch_size(
 ) -> tuple[int, list[Solution], SolverStats]:
     """Smallest feasible batch size and its solutions, scanning upward.
 
-    The diagonal of a binary Gram matrix counts column ones, so no batch
-    smaller than its maximum can fit; candidates run from there up to ``cap``.
+    No batch has fewer rows than a column's ones (a diagonal entry) or than
+    the rows two columns cover together (``a_ii + a_jj - a_ij``); candidates
+    run from the largest of these up to ``cap``. The screen's size bounds
+    only loosen as the size grows, so alpha is screened once at ``cap``
+    first: what fails there fails at every candidate size.
     """
-    ai = numkit.round_integral(np.asarray(alpha, dtype=float), tol=1e-9)
-    lower = max(1, int(np.max(np.diag(ai))))
-    if cap < lower:
-        raise InfeasibleScreen(
-            f"cap {cap} below the minimum feasible batch size {lower}"
-        )
+    ai = _screen(alpha, cap)
+    diag = np.diag(ai)
+    # The diagonal of this matrix is the diagonal of alpha itself.
+    lower = max(1, int(np.max(diag[:, None] + diag[None, :] - ai)))
     for m in range(lower, cap + 1):
         solutions, stats = solve(build_model(ai, m), limit=limit, deadline=deadline)
         if solutions:

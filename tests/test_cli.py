@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gramleak import cli, fedsim
+from gramleak import cli, fedsim, numkit, reconstruct
 from gramleak.cli import main
 from gramleak.reconstruct import canonical_rows, count_constraints
 
@@ -80,6 +80,30 @@ class TestAttackCommand:
         assert doc["diagnostics"]["design_rank"] == 7
         assert doc["diagnostics"]["max_fit_residual"] < 1e-10
         assert doc["diagnostics"]["max_integrality_residual"] < 1e-10
+
+    @pytest.mark.parametrize("mode", ["synchronized", "asynchronized"])
+    def test_diagnostics_match_a_reference_solve(self, runner, tmp_path, mode):
+        transcript = tmp_path / "t.json"
+        report = tmp_path / "r.json"
+        run_ok(runner, [
+            "simulate", "--mode", mode, "--m", "4", "--d", "6", "--rounds", "10",
+            "--seed", "12", "--out", str(transcript),
+        ])
+        run_ok(runner, ["attack", str(transcript), "--out", str(report)])
+        diagnostics = json.loads(report.read_text())["diagnostics"]
+        loaded = fedsim.load_transcript(transcript.read_text())
+        lr = loaded.config.learning_rate
+        thetas = np.array([o.theta for o in loaded.observations])
+        deltas = np.array([o.delta for o in loaded.observations])
+        scale = 0.25 * lr if mode == "synchronized" else 1.0
+        design = np.column_stack([scale * thetas, np.full(len(thetas), -0.5 * lr)])
+        assert diagnostics["design_rank"] == numkit.rank(design)
+        if mode == "synchronized":
+            raw = np.array([numkit.solve_linear(design, deltas[:, i]) for i in range(6)])
+            expected = float(np.max(np.abs(raw - np.rint(raw))))
+            assert diagnostics["max_integrality_residual"] == expected
+        else:
+            assert "max_integrality_residual" not in diagnostics
 
     def test_under_determined_transcript_reports_rank(self, runner, tmp_path):
         transcript = tmp_path / "t.json"
@@ -180,6 +204,20 @@ class TestReconstructCommand:
         constraint_lines = [line for line in lines if not line.startswith("binary ")]
         assert len(variable_lines) == 12
         assert len(constraint_lines) == 18
+
+    def test_wrong_labels_are_not_written(self, runner, tmp_path, monkeypatch):
+        report, _ = self.make_report(runner, tmp_path, m=4, d=6, seed=3)
+        true_labels = reconstruct.recover_labels
+        monkeypatch.setattr(
+            reconstruct, "recover_labels", lambda x, beta: -true_labels(x, beta)
+        )
+        solution = tmp_path / "s.json"
+        result = runner.invoke(main, [
+            "reconstruct", str(report), "--m", "4", "--out", str(solution),
+        ])
+        assert result.exit_code == cli.EXIT_UNVERIFIED
+        assert "Unverified: beta[" in result.output
+        assert not solution.exists()
 
     def test_requires_m_or_discover(self, runner, tmp_path):
         report, _ = self.make_report(runner, tmp_path, m=2, d=3, seed=9)

@@ -4,35 +4,6 @@ import pytest
 from gramleak import numkit
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(numkit.matmul(np.eye(2), a), a)
-
-    def test_hand_example(self):
-        a = np.array([[1.0, 1.0], [0.0, 1.0]])
-        b = np.array([[1.0], [1.0]])
-        assert np.array_equal(numkit.matmul(a, b), np.array([[2.0], [1.0]]))
-
-    def test_transpose_symmetry(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3))
-        assert np.allclose(numkit.matmul(a, b).T, numkit.matmul(b.T, a.T))
-
-    def test_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(numkit.DimensionMismatch, match=r"\(2, 3\).*\(2, 2\)"):
-            numkit.matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_associativity_bounded_entries(self):
-        rng = np.random.default_rng(1)
-        for _ in range(25):
-            a, b, c = (rng.uniform(-1e3, 1e3, (4, 4)) for _ in range(3))
-            left = numkit.matmul(numkit.matmul(a, b), c)
-            right = numkit.matmul(a, numkit.matmul(b, c))
-            assert np.allclose(left, right, rtol=1e-9, atol=1e-6)
-
-
 class TestSolveLinear:
     def test_identity(self):
         x = numkit.solve_linear(np.eye(3), np.array([1.0, 2.0, 3.0]))

@@ -74,6 +74,25 @@ class TestBuildModel:
         with pytest.raises(InfeasibleScreen, match="exceeds"):
             build_model(alpha, 5)
 
+    def test_negative_cooccurrence_screened(self):
+        # PSD (eigenvalues 1 and 3), yet no two columns share -1 rows.
+        alpha = np.array([[2, -1], [-1, 2]], dtype=np.int64)
+        with pytest.raises(InfeasibleScreen, match=r"alpha\[0,1\] = -1 is negative"):
+            build_model(alpha, 2)
+
+    @pytest.mark.parametrize("alpha, m, union", [
+        ([[3, 0], [0, 3]], 3, 6),
+        # Column sums force both rows to be (1,1), but the pair count says 1.
+        ([[2, 1], [1, 2]], 2, 3),
+        # Pairs (0,1) and (0,2) fit in three rows; the error names pair (1,2).
+        ([[1, 1, 0], [1, 2, 0], [0, 0, 2]], 3, 4),
+    ])
+    def test_pair_union_above_batch_size_screened(self, alpha, m, union):
+        alpha = np.array(alpha, dtype=np.int64)
+        d = len(alpha)
+        with pytest.raises(InfeasibleScreen, match=f"columns {d - 2} and {d - 1} cover {union} rows"):
+            build_model(alpha, m)
+
     def test_diagonal_above_batch_size_screened(self):
         alpha = np.array([[3, 0], [0, 1]], dtype=np.int64)
         with pytest.raises(InfeasibleScreen, match="wrong batch size"):
@@ -114,11 +133,44 @@ class TestExport:
         assert "x_0_0 + x_0_1 - 2 delta_0_1_0 >= 0" in lines
         assert "x_0_0 + x_0_1 - delta_0_1_0 <= 1" in lines
 
+    def test_full_listing_of_two_by_three_model(self):
+        x = np.array([[1, 0, 1], [1, 1, 0]], dtype=np.int64)
+        expected = (
+            "binary x_0_0\nbinary x_0_1\nbinary x_0_2\n"
+            "binary x_1_0\nbinary x_1_1\nbinary x_1_2\n"
+            "binary delta_0_1_0\nbinary delta_0_1_1\n"
+            "binary delta_0_2_0\nbinary delta_0_2_1\n"
+            "binary delta_1_2_0\nbinary delta_1_2_1\n"
+            "x_0_0 + x_1_0 = 2\n"
+            "x_0_1 + x_1_1 = 1\n"
+            "x_0_2 + x_1_2 = 1\n"
+            "delta_0_1_0 + delta_0_1_1 = 1\n"
+            "delta_0_2_0 + delta_0_2_1 = 1\n"
+            "delta_1_2_0 + delta_1_2_1 = 0\n"
+            "x_0_0 + x_0_1 - 2 delta_0_1_0 >= 0\n"
+            "x_0_0 + x_0_1 - delta_0_1_0 <= 1\n"
+            "x_1_0 + x_1_1 - 2 delta_0_1_1 >= 0\n"
+            "x_1_0 + x_1_1 - delta_0_1_1 <= 1\n"
+            "x_0_0 + x_0_2 - 2 delta_0_2_0 >= 0\n"
+            "x_0_0 + x_0_2 - delta_0_2_0 <= 1\n"
+            "x_1_0 + x_1_2 - 2 delta_0_2_1 >= 0\n"
+            "x_1_0 + x_1_2 - delta_0_2_1 <= 1\n"
+            "x_0_1 + x_0_2 - 2 delta_1_2_0 >= 0\n"
+            "x_0_1 + x_0_2 - delta_1_2_0 <= 1\n"
+            "x_1_1 + x_1_2 - 2 delta_1_2_1 >= 0\n"
+            "x_1_1 + x_1_2 - delta_1_2_1 <= 1\n"
+        )
+        assert export_model_text(build_model(gram_of(x), 2)) == expected
+
     def test_line_count_matches_model(self):
-        model = build_model(np.zeros((3, 3), dtype=np.int64), 2)
-        lines = export_model_text(model).strip().splitlines()
-        variables = model.x_variable_count + model.delta_variable_count
-        assert len(lines) == variables + model.constraint_count
+        for m in range(1, 5):
+            for d in range(1, 6):
+                model = build_model(np.zeros((d, d), dtype=np.int64), m)
+                lines = export_model_text(model).strip().splitlines()
+                binaries = [line for line in lines if line.startswith("binary ")]
+                variables = model.x_variable_count + model.delta_variable_count
+                assert len(binaries) == variables
+                assert len(lines) - len(binaries) == model.constraint_count
 
 
 class TestSolve:
@@ -187,8 +239,8 @@ class TestSolve:
                 assert np.array_equal(sol.x, canonical_rows(sol.x))
 
     def test_infeasible_status(self):
-        # Column sums force both rows to be (1,1), but the pair count says 1.
-        alpha = np.array([[2, 1], [1, 2]], dtype=np.int64)
+        # Every column pair fits in two rows, but three disjoint columns need three.
+        alpha = np.eye(3, dtype=np.int64)
         solutions, stats = solve(build_model(alpha, 2))
         assert solutions == []
         assert stats.status == reconstruct.STATUS_INFEASIBLE
@@ -324,6 +376,15 @@ class TestDiscoverBatchSize:
         assert m <= 3
         system = RecoveredSystem(alpha=alpha, beta=xi.T @ np.ones(3, dtype=np.int64))
         assert verify_solution(solutions[0].x, None, system).ok
+
+    def test_pair_union_sets_the_lower_bound(self):
+        # Two disjoint columns of three ones need six rows, not three.
+        alpha = np.array([[3, 0], [0, 3]], dtype=np.int64)
+        m, solutions, stats = discover_batch_size(alpha, cap=10)
+        assert m == 6
+        assert stats.status == reconstruct.STATUS_UNIQUE
+        expected = canonical_rows([[0, 1]] * 3 + [[1, 0]] * 3)
+        assert np.array_equal(solutions[0].x, expected)
 
     def test_cap_below_minimum_rejected(self):
         alpha = np.diag([4, 2]).astype(np.int64)
