@@ -36,6 +36,7 @@ from .fedsim import (
 )
 from .numkit import (
     DimensionMismatch,
+    NonFinite,
     NotIntegral,
     RankDeficient,
     as_matrix,

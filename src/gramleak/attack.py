@@ -68,15 +68,6 @@ def _stack_observations(observations: list[Observation]) -> tuple[np.ndarray, np
     return thetas, deltas
 
 
-def _solve_rows(design: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Solve the shared-design row systems; row i explains delta component i."""
-    d = deltas.shape[1]
-    out = np.empty((d, design.shape[1]))
-    for i in range(d):
-        out[i] = numkit.solve_linear(design, deltas[:, i])
-    return out
-
-
 def recover_alpha_beta(
     observations: list[Observation],
     learning_rate: float,
@@ -101,7 +92,7 @@ def recover_alpha_beta(
     design = np.column_stack(
         [0.25 * learning_rate * thetas, np.full(n_obs, -0.5 * learning_rate)]
     )
-    solved = _solve_rows(design, deltas)
+    solved = numkit.solve_linear(design, deltas).T
     alpha_raw = solved[:, :d]
     beta_raw = solved[:, d]
     asymmetry = float(np.max(np.abs(alpha_raw - alpha_raw.T)))
@@ -138,7 +129,7 @@ def recover_gamma_eta(
             rank=n_obs,
         )
     design = np.column_stack([thetas, np.full(n_obs, -0.5 * learning_rate)])
-    solved = _solve_rows(design, deltas)
+    solved = numkit.solve_linear(design, deltas).T
     residual = float(np.max(np.abs(design @ solved.T - deltas)))
     scale = max(1.0, float(np.max(np.abs(deltas))))
     if residual > tol * scale:

@@ -164,8 +164,8 @@ def cmd_attack(transcript, tol, out):
     deltas = np.array([o.delta for o in observations])
     n_obs, d = thetas.shape
     # Recovery raises RankDeficient unless each of the d + 1 design columns
-    # gets a pivot, and numkit.rank follows solve_linear's pivot rule, so the
-    # design of any recovered system has full column rank.
+    # gets a pivot, and numkit.rank runs the same elimination as
+    # solve_linear, so the design of any recovered system has full column rank.
     design_rank = d + 1
     out = out or "recovery.json"
     try:
@@ -214,6 +214,23 @@ def cmd_attack(transcript, tol, out):
     click.echo(f"wrote {out}: {summary} from {n_obs} observations")
 
 
+def _integral_system(doc: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The report's alpha (a square list of integer rows) and beta (d integers)."""
+
+    def integers(values) -> bool:
+        return isinstance(values, list) and all(
+            type(v) is int and -(2**63) <= v < 2**63 for v in values
+        )
+
+    alpha, beta = doc.get("alpha"), doc.get("beta")
+    if not (isinstance(alpha, list) and alpha
+            and all(integers(row) and len(row) == len(alpha) for row in alpha)):
+        raise CliError("report alpha must be a square list of integer rows", EXIT_USAGE)
+    if not (integers(beta) and len(beta) == len(alpha)):
+        raise CliError(f"report beta must be a list of {len(alpha)} integers", EXIT_USAGE)
+    return np.array(alpha, dtype=np.int64), np.array(beta, dtype=np.int64)
+
+
 @main.command("reconstruct")
 @click.argument("report", type=click.Path(exists=True))
 @click.option("--m", "batch_size", type=int, default=None,
@@ -235,15 +252,14 @@ def cmd_reconstruct(report, batch_size, discover, max_m, limit, deadline,
         doc = json.loads(Path(report).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot parse report {report}: {exc}", EXIT_USAGE)
-    if doc.get("kind") != "alpha_beta":
+    if not isinstance(doc, dict) or doc.get("kind") != "alpha_beta":
         raise CliError(
             "report does not contain an integral system; asynchronized "
             "recoveries cannot be inverted", EXIT_USAGE,
         )
     if (batch_size is None) == (not discover):
         raise CliError("pass exactly one of --m or --discover", EXIT_USAGE)
-    alpha = np.array(doc["alpha"], dtype=np.int64)
-    beta = np.array(doc["beta"], dtype=np.int64)
+    alpha, beta = _integral_system(doc)
     limit = None if limit == 0 else limit
     out = out or "solution.json"
     try:

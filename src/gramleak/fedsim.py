@@ -69,8 +69,8 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (0 < self.learning_rate < math.inf):
+            raise ValueError("learning_rate must be positive and finite")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.parties < 2:

@@ -1,9 +1,9 @@
 """Small dense linear-algebra kernel shared by the simulator, attack, and solver.
 
 Matrices are plain 2-D float64 numpy arrays and vectors are 1-D arrays; numpy
-supplies storage and products. The solve/rank routines are hand-rolled Gaussian
-elimination with partial pivoting so that rank deficiency and integrality
-failures surface as typed errors carrying the diagnostics the recovery
+supplies storage and products. Solve and rank share one hand-rolled Gaussian
+elimination with partial pivoting, so that rank deficiency, integrality and
+non-finite input surface as typed errors carrying the diagnostics the recovery
 pipeline needs. Everything here is a pure function over its inputs.
 """
 
@@ -30,6 +30,10 @@ class RankDeficient(ArithmeticError):
         self.rank = rank
 
 
+class NonFinite(ValueError):
+    """An input holds NaN or inf, which no exact recovery can explain."""
+
+
 class NotIntegral(ArithmeticError):
     """A matrix expected to be integral has an entry too far from any integer."""
 
@@ -39,66 +43,36 @@ class NotIntegral(ArithmeticError):
         self.distance = distance
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
+        raise NonFinite(f"array of shape {a.shape} holds NaN or inf")
+    return a
+
+
 def as_matrix(values) -> np.ndarray:
-    """Coerce to a float64 matrix with at least one row and one column."""
+    """Coerce to a finite float64 matrix with at least one row and one column."""
     a = np.array(values, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D array, got shape {a.shape}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatch(f"matrix needs at least one row and column, got {a.shape}")
-    return a
+    return _finite(a)
 
 
 def as_vector(values) -> np.ndarray:
     a = np.array(values, dtype=float)
     if a.ndim != 1 or a.shape[0] < 1:
         raise DimensionMismatch(f"expected a non-empty 1-D array, got shape {a.shape}")
-    return a
+    return _finite(a)
 
 
-def solve_linear(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
-    """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
+def _eliminate(work: np.ndarray, cols: int, tol: float) -> int:
+    """Row-reduce ``work`` in place, pivoting only on its first ``cols`` columns.
 
-    ``a`` may have more rows than columns. The returned vector satisfies the
-    pivot equations exactly, so for a consistent full-column-rank system it is
-    the unique solution; callers that care about inconsistency inspect the
-    residual ``a @ x - b`` themselves. A pivot whose magnitude falls below
-    ``tol`` times the largest entry of ``a`` raises :class:`RankDeficient`.
+    Returns the rank of those columns; with full rank, column c pivots in row c.
     """
-    a = as_matrix(a)
-    b = as_vector(b)
-    rows, cols = a.shape
-    if rows < cols:
-        raise DimensionMismatch(f"underdetermined system: {rows} rows for {cols} unknowns")
-    if b.shape[0] != rows:
-        raise DimensionMismatch(f"rhs length {b.shape[0]} does not match {rows} rows")
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        raise RankDeficient("coefficient matrix is identically zero", rank=0)
-    threshold = tol * scale
-    aug = np.column_stack([a, b])
-    for c in range(cols):
-        p = c + int(np.argmax(np.abs(aug[c:, c])))
-        if abs(aug[p, c]) < threshold:
-            raise RankDeficient(
-                f"pivot {abs(aug[p, c]):.3e} in column {c} below {threshold:.3e}",
-                rank=rank(a, tol),
-            )
-        if p != c:
-            aug[[c, p]] = aug[[p, c]]
-        factors = aug[c + 1 :, c] / aug[c, c]
-        aug[c + 1 :, c:] -= np.outer(factors, aug[c, c:])
-    x = np.empty(cols)
-    for c in range(cols - 1, -1, -1):
-        x[c] = (aug[c, cols] - aug[c, c + 1 : cols] @ x[c + 1 : cols]) / aug[c, c]
-    return x
-
-
-def rank(m: np.ndarray, tol: float = DEFAULT_PIVOT_TOL) -> int:
-    """Numeric rank by pivoted elimination with relative tolerance ``tol``."""
-    work = as_matrix(m).copy()
-    rows, cols = work.shape
-    scale = float(np.max(np.abs(work)))
+    rows = work.shape[0]
+    scale = float(np.max(np.abs(work[:, :cols])))
     if scale == 0.0:
         return 0
     threshold = tol * scale
@@ -117,14 +91,51 @@ def rank(m: np.ndarray, tol: float = DEFAULT_PIVOT_TOL) -> int:
     return r
 
 
+def solve_linear(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
+    """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
+
+    ``b`` is one right-hand side or a matrix of them, one per column, and ``x``
+    has its shape; ``[a | b]`` is eliminated once. ``a`` may have more rows
+    than columns. ``x`` satisfies the pivot equations exactly, so callers that
+    care about inconsistency inspect the residual ``a @ x - b`` themselves. A
+    pivot below ``tol`` times the largest entry of ``a`` raises
+    :class:`RankDeficient` carrying the rank of ``a``.
+    """
+    a = as_matrix(a)
+    b = as_vector(b) if np.ndim(b) == 1 else as_matrix(b)
+    rows, cols = a.shape
+    if rows < cols:
+        raise DimensionMismatch(f"underdetermined system: {rows} rows for {cols} unknowns")
+    if b.shape[0] != rows:
+        raise DimensionMismatch(f"rhs length {b.shape[0]} does not match {rows} rows")
+    aug = np.column_stack([a, b])
+    r = _eliminate(aug, cols, tol)
+    if r < cols:
+        raise RankDeficient(f"rank {r} below {cols} unknowns (tol {tol:.1e})", rank=r)
+    # One right-hand side at a time, with a single solve's dot product, so each
+    # column of the result is bitwise what solving for it alone gives.
+    out = np.empty((aug.shape[1] - cols, cols))
+    for j, x in enumerate(out):
+        for c in range(cols - 1, -1, -1):
+            x[c] = (aug[c, cols + j] - aug[c, c + 1 : cols] @ x[c + 1 : cols]) / aug[c, c]
+    return out[0] if b.ndim == 1 else out.T
+
+
+def rank(m: np.ndarray, tol: float = DEFAULT_PIVOT_TOL) -> int:
+    """Numeric rank by pivoted elimination with relative tolerance ``tol``."""
+    work = as_matrix(m)
+    return _eliminate(work, work.shape[1], tol)
+
+
 def round_integral(m: np.ndarray, tol: float = DEFAULT_INTEGRALITY_TOL) -> np.ndarray:
     """Round every entry to the nearest integer, returning an int64 array.
 
     Fails with :class:`NotIntegral` if any entry sits further than ``tol``
-    from its nearest integer; the error names the worst offender. Accepts
-    arrays of any shape, so it rounds vectors as well as matrices.
+    from its nearest integer; the error names the worst offender, and NaN or
+    inf raises :class:`NonFinite`. Accepts arrays of any shape, so it rounds
+    vectors as well as matrices.
     """
-    a = np.asarray(m, dtype=float)
+    a = _finite(np.asarray(m, dtype=float))
     rounded = np.rint(a)
     dist = np.abs(a - rounded)
     worst = int(np.argmax(dist))

@@ -299,7 +299,13 @@ class _Search:
                     return
             chosen[g] = 0
 
-        extend(0, 0)
+        # extend reaches itself through its closure cell; deleting the name
+        # breaks that cycle, so each call's state is freed by reference
+        # counting instead of waiting for the cycle collector.
+        try:
+            extend(0, 0)
+        finally:
+            del extend
 
 
 def solve(
@@ -381,7 +387,11 @@ def _search_labels(
                 return True
         return False
 
-    assign(0)
+    # As in _Search._place: drop the self-referencing closure when done.
+    try:
+        assign(0)
+    finally:
+        del assign
     return found
 
 
@@ -404,7 +414,7 @@ def enumerate_labels(
     x: np.ndarray, beta: np.ndarray, limit: int | None = None
 ) -> list[np.ndarray]:
     """All (or the first ``limit``) sign labelings with ``X'y = beta``."""
-    xi = _as_binary_matrix(x)
+    xi = _as_binary_matrix(numkit.as_matrix(x))
     beta_i = np.asarray(beta)
     beta_i = numkit.round_integral(beta_i.astype(float), tol=1e-9)
     m, d = xi.shape
@@ -412,17 +422,19 @@ def enumerate_labels(
         raise numkit.DimensionMismatch(
             f"beta length {beta_i.shape} does not match {d} features"
         )
-    if numkit.rank(xi.astype(float)) == m:
-        # Unique real solution; it either rounds to a valid signing or none exists.
-        try:
-            y_real = numkit.solve_linear(xi.T.astype(float), beta_i.astype(float))
-        except numkit.RankDeficient:
-            return _search_labels(xi, beta_i, limit)
-        y = np.rint(y_real).astype(np.int64)
-        if np.all(np.abs(y) == 1) and np.array_equal(xi.T @ y, beta_i):
-            return [y]
-        return []
-    return _search_labels(xi, beta_i, limit)
+    if m > d:
+        # More rows than features: the rows are dependent, so search.
+        return _search_labels(xi, beta_i, limit)
+    try:
+        y_real = numkit.solve_linear(xi.T.astype(float), beta_i.astype(float))
+    except numkit.RankDeficient:
+        return _search_labels(xi, beta_i, limit)
+    # Independent rows: the real solution is unique, and it either rounds to
+    # a valid signing or none exists.
+    y = np.rint(y_real).astype(np.int64)
+    if np.all(np.abs(y) == 1) and np.array_equal(xi.T @ y, beta_i):
+        return [y]
+    return []
 
 
 def verify_solution(

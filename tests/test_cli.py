@@ -145,6 +145,16 @@ class TestAttackCommand:
         result = runner.invoke(main, ["attack", str(broken)])
         assert result.exit_code == cli.EXIT_USAGE
 
+    def test_nan_in_transcript_is_a_parse_error(self, runner, tmp_path):
+        transcript = tmp_path / "t.json"
+        run_ok(runner, ["simulate", "--m", "3", "--d", "4", "--out", str(transcript)])
+        doc = json.loads(transcript.read_text())
+        doc["observations"][2]["delta"][1] = float("nan")
+        transcript.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["attack", str(transcript)])
+        assert result.exit_code == cli.EXIT_USAGE
+        assert "NaN" in result.output
+
 
 class TestReconstructCommand:
     def make_report(self, runner, tmp_path, m=5, d=10, seed=4):
@@ -223,6 +233,24 @@ class TestReconstructCommand:
         report, _ = self.make_report(runner, tmp_path, m=2, d=3, seed=9)
         result = runner.invoke(main, ["reconstruct", str(report)])
         assert result.exit_code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: doc.update(alpha=[[1, 0], [0]]), "square"),
+        (lambda doc: doc.pop("beta"), "beta"),
+        (lambda doc: doc["alpha"][0].__setitem__(0, 1.5), "integer"),
+    ], ids=["ragged_alpha", "missing_beta", "fractional_alpha"])
+    def test_malformed_report_is_a_usage_error(self, runner, tmp_path, corrupt, message):
+        report, _ = self.make_report(runner, tmp_path, m=2, d=3, seed=9)
+        doc = json.loads(report.read_text())
+        corrupt(doc)
+        report.write_text(json.dumps(doc))
+        solution = tmp_path / "s.json"
+        result = runner.invoke(main, [
+            "reconstruct", str(report), "--m", "2", "--out", str(solution),
+        ])
+        assert result.exit_code == cli.EXIT_USAGE
+        assert message in result.output
+        assert not solution.exists()
 
     def test_gamma_report_rejected(self, runner, tmp_path):
         transcript = tmp_path / "t.json"

@@ -39,6 +39,8 @@ class TestTrainingConfig:
         "kwargs",
         [
             {"learning_rate": 0.0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
             {"learning_rate": 0.1, "mode": "federated"},
             {"learning_rate": 0.1, "parties": 1},
             {"learning_rate": 0.1, "rounds": 0},
@@ -290,3 +292,11 @@ class TestTranscriptJson:
 def test_observation_length_mismatch_rejected():
     with pytest.raises(numkit.DimensionMismatch):
         Observation(theta=np.zeros(3), delta=np.zeros(2))
+
+
+@pytest.mark.parametrize("field", ["theta", "delta"])
+def test_observation_nan_rejected(field):
+    values = {"theta": np.zeros(3), "delta": np.zeros(3)}
+    values[field][1] = np.nan
+    with pytest.raises(numkit.NonFinite):
+        Observation(**values)

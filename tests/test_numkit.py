@@ -4,6 +4,21 @@ import pytest
 from gramleak import numkit
 
 
+def reference_solve(a, b):
+    """One right-hand side by textbook elimination with partial pivoting."""
+    rows, cols = a.shape
+    aug = np.column_stack([a, b])
+    for c in range(cols):
+        p = c + int(np.argmax(np.abs(aug[c:, c])))
+        aug[[c, p]] = aug[[p, c]]
+        factors = aug[c + 1 :, c] / aug[c, c]
+        aug[c + 1 :, c:] -= np.outer(factors, aug[c, c:])
+    x = np.empty(cols)
+    for c in range(cols - 1, -1, -1):
+        x[c] = (aug[c, cols] - aug[c, c + 1 : cols] @ x[c + 1 : cols]) / aug[c, c]
+    return x
+
+
 class TestSolveLinear:
     def test_identity(self):
         x = numkit.solve_linear(np.eye(3), np.array([1.0, 2.0, 3.0]))
@@ -42,6 +57,47 @@ class TestSolveLinear:
             x = rng.uniform(-5.0, 5.0, cols)
             assert np.allclose(numkit.solve_linear(a, a @ x), x, atol=1e-9)
             checked += 1
+
+    def test_matrix_rhs_columns_match_single_solves(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            rows = int(rng.integers(1, 12))
+            cols = int(rng.integers(1, rows + 1))
+            a = rng.uniform(-2.0, 2.0, (rows, cols))
+            rhs = rng.uniform(-5.0, 5.0, (rows, int(rng.integers(1, 6))))
+            x = numkit.solve_linear(a, rhs)
+            assert x.shape == (cols, rhs.shape[1])
+            for j in range(rhs.shape[1]):
+                assert x[:, j].tobytes() == numkit.solve_linear(a, rhs[:, j]).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 13, 30])
+    @pytest.mark.parametrize("sync", [True, False])
+    def test_matrix_rhs_on_recovery_designs(self, d, sync):
+        # The designs of attack.recover_alpha_beta and recover_gamma_eta,
+        # with one right-hand side per delta component.
+        rng = np.random.default_rng(d)
+        lr = 0.1
+        thetas = rng.uniform(-1.0, 1.0, (d + 3, d))
+        scale = 0.25 * lr if sync else 1.0
+        design = np.column_stack([scale * thetas, np.full(d + 3, -0.5 * lr)])
+        deltas = rng.normal(size=(d + 3, d))
+        x = numkit.solve_linear(design, deltas)
+        for j in range(d):
+            single = numkit.solve_linear(design, deltas[:, j])
+            assert x[:, j].tobytes() == single.tobytes()
+            assert single.tobytes() == reference_solve(design, deltas[:, j]).tobytes()
+
+    def test_matrix_rhs_rank_deficient_reports_rank(self):
+        rng = np.random.default_rng(6)
+        a = rng.integers(-2, 3, (7, 2)).astype(float) @ rng.integers(-2, 3, (2, 4)).astype(float)
+        with pytest.raises(numkit.RankDeficient) as info:
+            numkit.solve_linear(a, rng.normal(size=(7, 3)))
+        assert info.value.rank == numkit.rank(a) == 2
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (3, 0), (0,), (2, 2)])
+    def test_bad_rhs_shape_rejected(self, shape):
+        with pytest.raises(numkit.DimensionMismatch):
+            numkit.solve_linear(np.eye(3), np.ones(shape))
 
 
 class TestRank:
@@ -109,3 +165,15 @@ def test_as_matrix_rejects_empty_and_ragged():
 def test_as_vector_rejects_matrix():
     with pytest.raises(numkit.DimensionMismatch):
         numkit.as_vector(np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    with pytest.raises(numkit.NonFinite):
+        numkit.as_matrix([[1.0, bad]])
+    with pytest.raises(numkit.NonFinite):
+        numkit.as_vector([bad, 1.0])
+    with pytest.raises(numkit.NonFinite):
+        numkit.round_integral(np.array([[2.0, bad]]))
+    with pytest.raises(numkit.NonFinite):
+        numkit.solve_linear(np.eye(2), np.array([[1.0, 0.0], [bad, 1.0]]))

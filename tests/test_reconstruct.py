@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -309,11 +310,15 @@ class TestRecoverLabels:
             recover_labels(x, np.array([2, 0]))
 
     def test_enumeration_finds_every_labeling(self):
+        # Up to d = 8, so many batches have m <= d and take the linear-solve
+        # path; repeated rows make some of those rank-deficient.
         rng = np.random.default_rng(59)
-        for _ in range(10):
+        for trial in range(60):
             m = int(rng.integers(1, 7))
-            d = int(rng.integers(1, 5))
+            d = int(rng.integers(1, 9))
             x = rng.integers(0, 2, (m, d)).astype(np.int64)
+            if trial % 3 == 0 and m > 1:
+                x[-1] = x[0]
             y = 2 * rng.integers(0, 2, m).astype(np.int64) - 1
             beta = x.T @ y
             expected = {
@@ -323,6 +328,23 @@ class TestRecoverLabels:
             }
             got = {tuple(v) for v in enumerate_labels(x, beta)}
             assert got == expected
+
+
+def test_searches_leave_no_reference_cycles():
+    # Every search frees its state by reference counting alone, so memory
+    # does not pile up between cycle-collector passes.
+    rng = np.random.default_rng(62)
+    model = build_model(gram_of(fedsim.random_batch(rng, 5, 10).x), 5)
+    dup = np.array([[1, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 0]], dtype=np.int64)
+    gc.collect()
+    gc.disable()
+    try:
+        solve(model)
+        solve(model, limit=2)
+        enumerate_labels(dup, dup.T @ np.array([1, -1, 1, 1]))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestVerifySolution:
