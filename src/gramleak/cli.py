@@ -60,6 +60,16 @@ def _pick(flag, config: dict, key: str, default):
     return default
 
 
+def _search_bounds(limit: int, deadline) -> tuple[int | None, float | None]:
+    """Check --limit (0 = exhaustive) and --deadline (seconds) for a solve."""
+    if limit < 0:
+        raise CliError(f"--limit must be 0 (exhaustive) or positive, got {limit}", EXIT_USAGE)
+    if deadline is not None and not (isinstance(deadline, (int, float)) and deadline >= 0):
+        raise CliError(f"--deadline must be a number of seconds >= 0, got {deadline!r}",
+                       EXIT_USAGE)
+    return limit or None, deadline
+
+
 def _write_json(path: str, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
@@ -260,7 +270,7 @@ def cmd_reconstruct(report, batch_size, discover, max_m, limit, deadline,
     if (batch_size is None) == (not discover):
         raise CliError("pass exactly one of --m or --discover", EXIT_USAGE)
     alpha, beta = _integral_system(doc)
-    limit = None if limit == 0 else limit
+    limit, deadline = _search_bounds(limit, deadline)
     out = out or "solution.json"
     try:
         if discover:
@@ -358,7 +368,8 @@ def _table1_cell(args: tuple) -> dict:
 @click.option("--trials", type=int, default=None, help="Trials per cell [default: 3]")
 @click.option("--seed", type=int, default=None)
 @click.option("--limit", type=int, default=None,
-              help="Solutions per solve; 2 proves or refutes uniqueness [default: 2]")
+              help="Solutions per solve; 2 proves or refutes uniqueness, "
+                   "0 = exhaustive [default: 2]")
 @click.option("--deadline", type=float, default=None, help="Seconds per solve.")
 @click.option("--jobs", type=int, default=None, help="Parallel cells [default: 1]")
 @click.option("--out", type=click.Path(), default=None)
@@ -369,8 +380,9 @@ def cmd_table1(config_path, grid, trials, seed, limit, deadline, jobs, out, fmt)
     grid = _pick(grid, cfg, "grid", DEFAULT_GRID)
     trials = int(_pick(trials, cfg, "trials", 3))
     seed = int(_pick(seed, cfg, "seed", 0))
-    limit = int(_pick(limit, cfg, "limit", 2))
-    deadline = _pick(deadline, cfg, "deadline", None)
+    limit, deadline = _search_bounds(
+        int(_pick(limit, cfg, "limit", 2)), _pick(deadline, cfg, "deadline", None)
+    )
     jobs = int(_pick(jobs, cfg, "jobs", 1))
     fmt = _pick(fmt, cfg, "format", "csv")
     out = _pick(out, cfg, "out", f"table1.{fmt}")

@@ -112,6 +112,9 @@ class Transcript:
             raise ValueError(
                 f"{len(self.observations)} observations for {self.config.rounds} rounds"
             )
+        widths = sorted({o.theta.shape[0] for o in self.observations})
+        if len(widths) > 1:
+            raise numkit.DimensionMismatch(f"observations differ in width: {widths}")
 
 
 def approx_loss(theta: np.ndarray, x: np.ndarray, y: float) -> float:

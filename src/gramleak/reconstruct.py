@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -194,7 +194,8 @@ class _Search:
     Group counts are branched depth-first (larger counts first) with
     reach/excess pruning against every open count, so each leaf satisfies
     all placed constraints exactly and distinct leaves are distinct row
-    multisets.
+    multisets. Columns and groups are walked with explicit stacks, so the
+    depth of the search is not bounded by Python's recursion limit.
     """
 
     def __init__(self, alpha: np.ndarray, m: int, limit: int | None, deadline: float | None):
@@ -206,15 +207,19 @@ class _Search:
         self.solutions: list[tuple[tuple[int, ...], ...]] = []
         self.nodes = 0
         self.stopped = False
-        self.deadline_hit = False
 
     def run(self) -> None:
-        self._place(0, [(self.m, 0)])
-
-    def _check_deadline(self) -> None:
-        if self.deadline_at is not None and time.perf_counter() > self.deadline_at:
-            self.stopped = True
-            self.deadline_hit = True
+        # One split generator per placed column; the deepest is resumed, and
+        # none is resumed once the search stops, so no node counts after that.
+        walks = [self._splits(0, [(self.m, 0)])]
+        while walks and not self.stopped:
+            groups = next(walks[-1], None)
+            if groups is None:
+                walks.pop()
+            elif len(walks) == self.d:
+                self._record(groups)
+            else:
+                walks.append(self._splits(len(walks), groups))
 
     def _record(self, groups: list[tuple[int, int]]) -> None:
         rows = []
@@ -225,18 +230,21 @@ class _Search:
         if self.limit is not None and len(self.solutions) >= self.limit:
             self.stopped = True
 
-    def _place(self, col: int, groups: list[tuple[int, int]]) -> None:
-        if self.stopped:
-            return
-        if col == self.d:
-            self._record(groups)
-            return
+    def _splits(
+        self, col: int, groups: list[tuple[int, int]]
+    ) -> Iterator[list[tuple[int, int]]]:
+        """Yield the row groups left by each complete split of column ``col``.
+
+        A node decides one group's count; ``stack`` holds one frame per
+        decided group: [group, rows placed before it, count, lowest count].
+        """
         alpha_col = self.alpha[col]
         n_groups = len(groups)
         sizes = [s for s, _ in groups]
         patterns = [p for _, p in groups]
+        bits = [[l for l in range(col) if p & (1 << l)] for p in patterns]
         total_target = alpha_col[col]
-        targets = [alpha_col[l] for l in range(col)]
+        targets = alpha_col[:col]
         suffix_total = [0] * (n_groups + 1)
         for g in range(n_groups - 1, -1, -1):
             suffix_total[g] = suffix_total[g + 1] + sizes[g]
@@ -248,64 +256,58 @@ class _Search:
                 arr[g] = arr[g + 1] + (sizes[g] if patterns[g] & bit else 0)
             suffixes.append(arr)
         partial = [0] * col
-        chosen = [0] * n_groups
         new_bit = 1 << col
-
-        def extend(g: int, placed: int) -> None:
+        stack: list[list[int]] = []
+        g = placed = 0
+        while True:
             self.nodes += 1
-            if self.nodes & 1023 == 0:
-                self._check_deadline()
-            if self.stopped:
+            if (self.nodes & 1023 == 0 and self.deadline_at is not None
+                    and time.perf_counter() > self.deadline_at):
+                self.stopped = True
                 return
             if g == n_groups:
                 new_groups = []
-                for h in range(n_groups):
-                    t, s = chosen[h], sizes[h]
+                for h, _, t, _ in stack:
                     if t > 0:
                         new_groups.append((t, patterns[h] | new_bit))
-                    if t < s:
-                        new_groups.append((s - t, patterns[h]))
-                self._place(col + 1, new_groups)
-                return
-            pattern = patterns[g]
-            lo = total_target - placed - suffix_total[g + 1]
-            if lo < 0:
-                lo = 0
-            hi = total_target - placed
-            if sizes[g] < hi:
-                hi = sizes[g]
-            for l in range(col):
-                need = targets[l] - partial[l]
-                cap_after = suffixes[l][g + 1]
-                if pattern & (1 << l):
-                    if need - cap_after > lo:
-                        lo = need - cap_after
-                    if need < hi:
-                        hi = need
-                elif need < 0 or need > cap_after:
-                    return
-            if lo > hi:
-                return
-            bits = [l for l in range(col) if pattern & (1 << l)]
-            for t in range(hi, lo - 1, -1):
-                chosen[g] = t
-                for l in bits:
-                    partial[l] += t
-                extend(g + 1, placed + t)
-                for l in bits:
+                    if t < sizes[h]:
+                        new_groups.append((sizes[h] - t, patterns[h]))
+                yield new_groups
+            else:
+                pattern = patterns[g]
+                lo = max(total_target - placed - suffix_total[g + 1], 0)
+                hi = min(total_target - placed, sizes[g])
+                for l in range(col):
+                    need = targets[l] - partial[l]
+                    cap_after = suffixes[l][g + 1]
+                    if pattern & (1 << l):
+                        if need - cap_after > lo:
+                            lo = need - cap_after
+                        if need < hi:
+                            hi = need
+                    elif need < 0 or need > cap_after:
+                        hi = -1  # no count fits: prune
+                        break
+                if lo <= hi:
+                    stack.append([g, placed, hi, lo])
+                    for l in bits[g]:
+                        partial[l] += hi
+                    g, placed = g + 1, placed + hi
+                    continue
+            # Backtrack: the deepest group with a smaller count left takes it.
+            while stack:
+                h, before, t, low = frame = stack[-1]
+                if t > low:
+                    frame[2] = t - 1
+                    for l in bits[h]:
+                        partial[l] -= 1
+                    g, placed = h + 1, before + t - 1
+                    break
+                for l in bits[h]:
                     partial[l] -= t
-                if self.stopped:
-                    chosen[g] = 0
-                    return
-            chosen[g] = 0
-
-        # extend reaches itself through its closure cell; deleting the name
-        # breaks that cycle, so each call's state is freed by reference
-        # counting instead of waiting for the cycle collector.
-        try:
-            extend(0, 0)
-        finally:
-            del extend
+                stack.pop()
+            else:
+                return
 
 
 def solve(
@@ -323,6 +325,8 @@ def solve(
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1 when given")
+    if deadline is not None and not deadline >= 0:
+        raise ValueError("deadline must be a non-negative number of seconds when given")
     start = time.perf_counter()
     search = _Search(model.alpha, model.m, limit, deadline)
     search.run()
@@ -369,30 +373,28 @@ def _search_labels(
         suffix[k] = suffix[k + 1] + xi[k]
     signs = np.zeros(m, dtype=np.int64)
     partial = np.zeros(d, dtype=np.int64)
-
-    def assign(k: int) -> bool:
+    k = 0  # rows 0..k-1 carry a sign; +1 is tried before -1
+    while True:
         remainder = beta - partial
         rest = suffix[k]
-        if np.any(np.abs(remainder) > rest) or np.any((remainder - rest) & 1):
-            return False
-        if k == m:
+        feasible = not (np.any(np.abs(remainder) > rest) or np.any((remainder - rest) & 1))
+        if feasible and k < m:
+            signs[k] = 1
+            partial += xi[k]
+            k += 1
+            continue
+        if feasible:
             found.append(signs.copy())
-            return limit is not None and len(found) >= limit
-        for sign in (1, -1):
-            signs[k] = sign
-            partial[:] = partial + sign * xi[k]
-            done = assign(k + 1)
-            partial[:] = partial - sign * xi[k]
-            if done:
-                return True
-        return False
-
-    # As in _Search._place: drop the self-referencing closure when done.
-    try:
-        assign(0)
-    finally:
-        del assign
-    return found
+            if limit is not None and len(found) >= limit:
+                return found
+        # Unassign the trailing -1 rows, then flip the deepest +1 to -1.
+        while k and signs[k - 1] == -1:
+            k -= 1
+            partial += xi[k]
+        if not k:
+            return found
+        signs[k - 1] = -1
+        partial -= 2 * xi[k - 1]
 
 
 def recover_labels(x: np.ndarray, beta: np.ndarray) -> np.ndarray:

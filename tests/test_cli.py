@@ -15,6 +15,9 @@ def runner():
     return CliRunner()
 
 
+BAD_SEARCH_BOUNDS = [("--limit", "-1"), ("--deadline", "nan"), ("--deadline", "-1")]
+
+
 def run_ok(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
@@ -155,6 +158,17 @@ class TestAttackCommand:
         assert result.exit_code == cli.EXIT_USAGE
         assert "NaN" in result.output
 
+    def test_ragged_observations_are_a_parse_error(self, runner, tmp_path):
+        transcript = tmp_path / "t.json"
+        run_ok(runner, ["simulate", "--m", "3", "--d", "4", "--out", str(transcript)])
+        doc = json.loads(transcript.read_text())
+        for field in ("theta", "delta"):
+            doc["observations"][1][field].pop()
+        transcript.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["attack", str(transcript)])
+        assert result.exit_code == cli.EXIT_USAGE
+        assert "differ in width" in result.output
+
 
 class TestReconstructCommand:
     def make_report(self, runner, tmp_path, m=5, d=10, seed=4):
@@ -252,6 +266,17 @@ class TestReconstructCommand:
         assert message in result.output
         assert not solution.exists()
 
+    @pytest.mark.parametrize("flag, value", BAD_SEARCH_BOUNDS)
+    def test_bad_search_bound_is_a_usage_error(self, runner, tmp_path, flag, value):
+        report, _ = self.make_report(runner, tmp_path, m=2, d=3, seed=9)
+        solution = tmp_path / "s.json"
+        result = runner.invoke(main, [
+            "reconstruct", str(report), "--m", "2", flag, value, "--out", str(solution),
+        ])
+        assert result.exit_code == cli.EXIT_USAGE
+        assert flag in result.output
+        assert not solution.exists()
+
     def test_gamma_report_rejected(self, runner, tmp_path):
         transcript = tmp_path / "t.json"
         report = tmp_path / "r.json"
@@ -308,6 +333,30 @@ class TestTable1Command:
                 ]
 
         assert strip_times(serial) == strip_times(parallel)
+
+    def test_limit_zero_is_exhaustive(self, runner, tmp_path):
+        # 11x5 batches share their Gram matrix with several others; an
+        # exhaustive search finds more than two of them.
+        counts = {}
+        for limit in ("0", "2"):
+            out = tmp_path / f"grid{limit}.json"
+            run_ok(runner, [
+                "table1", "--grid", "11x5", "--trials", "3", "--limit", limit,
+                "--format", "json", "--out", str(out),
+            ])
+            counts[limit] = json.loads(out.read_text())["cells"][0]["solutions_found"]
+        assert counts["2"] == [2, 2, 2]
+        assert counts["0"] == [4, 6, 12]
+
+    @pytest.mark.parametrize("flag, value", BAD_SEARCH_BOUNDS)
+    def test_bad_search_bound_is_a_usage_error(self, runner, tmp_path, flag, value):
+        out = tmp_path / "grid.csv"
+        result = runner.invoke(main, [
+            "table1", "--grid", "3x5", "--trials", "1", flag, value, "--out", str(out),
+        ])
+        assert result.exit_code == cli.EXIT_USAGE
+        assert flag in result.output
+        assert not out.exists()
 
     def test_bad_grid_rejected(self, runner, tmp_path):
         result = runner.invoke(main, ["table1", "--grid", "3,5"])

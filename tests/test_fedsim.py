@@ -289,6 +289,16 @@ class TestTranscriptJson:
         assert first == second
 
 
+def test_transcript_observation_widths_must_agree():
+    config = TrainingConfig(learning_rate=0.1, rounds=2)
+    observations = [
+        Observation(theta=np.zeros(3), delta=np.zeros(3)),
+        Observation(theta=np.zeros(2), delta=np.zeros(2)),
+    ]
+    with pytest.raises(numkit.DimensionMismatch, match="width"):
+        fedsim.Transcript(observations=observations, config=config, ground_truth=())
+
+
 def test_observation_length_mismatch_rejected():
     with pytest.raises(numkit.DimensionMismatch):
         Observation(theta=np.zeros(3), delta=np.zeros(2))

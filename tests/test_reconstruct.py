@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -277,6 +279,50 @@ class TestSolve:
         target = tuple(map(tuple, canonical_rows(binary.astype(np.int64))))
         assert target in {tuple(map(tuple, s.x)) for s in solutions}
 
+    @pytest.mark.parametrize("deadline", [float("nan"), -1.0])
+    def test_bad_deadline_rejected(self, deadline):
+        model = build_model(np.eye(2, dtype=np.int64), 2)
+        with pytest.raises(ValueError, match="deadline"):
+            solve(model, deadline=deadline)
+
+    def test_deep_search_has_no_recursion_ceiling(self):
+        # 200 columns: the search is deeper than Python's recursion limit.
+        batch = fedsim.random_batch(np.random.default_rng(63), 4, 200)
+        xi = batch.x.astype(np.int64)
+        solutions, stats = solve(build_model(gram_of(xi), 4), limit=2)
+        assert stats.status == reconstruct.STATUS_UNIQUE
+        assert np.array_equal(solutions[0].x, canonical_rows(xi))
+
+
+# (seed, rows drawn, batch size solved, d, limit) -> nodes_explored, status,
+# exhausted, and a digest of the solutions in order, recorded with the earlier
+# recursive search: the walk must not change. Seed 86 one row short is infeasible.
+GOLDEN_SEARCHES = [
+    ((70, 3, 3, 5, None), (17, "unique", True, "5a225fc940af52a2")),
+    ((71, 5, 5, 10, None), (53, "unique", True, "1e26187773e6b065")),
+    ((72, 5, 5, 10, 1), (62, "limit_reached", False, "572457da3a214a64")),
+    ((73, 8, 8, 5, None), (62, "multiple", True, "85a40f3748975d6f")),
+    ((74, 8, 8, 10, 2), (103, "unique", True, "f39c39879666b97a")),
+    ((75, 9, 9, 5, 2), (80, "multiple", False, "e83a40473bdd4ebe")),
+    ((76, 9, 9, 15, 2), (164, "unique", True, "a356dec4559ce052")),
+    ((77, 11, 11, 5, None), (57, "multiple", True, "19b8c8c7d8285c26")),
+    ((78, 11, 11, 10, 1), (210, "limit_reached", False, "07c36e6b7819d3bd")),
+    ((79, 11, 11, 20, 2), (8885, "unique", True, "0f5c69fc1427b9b3")),
+    ((80, 11, 11, 15, None), (750, "unique", True, "2b10756ae5c784f7")),
+    ((86, 6, 5, 8, None), (27, "infeasible", True, "4f53cda18c2baa0c")),
+]
+
+
+@pytest.mark.parametrize("case, expected", GOLDEN_SEARCHES, ids=lambda v: str(v[0]))
+def test_search_walk_matches_recording(case, expected):
+    seed, rows, m, d, limit = case
+    xi = fedsim.random_batch(np.random.default_rng(seed), rows, d).x.astype(np.int64)
+    solutions, stats = solve(build_model(gram_of(xi), m), limit=limit)
+    digest = hashlib.sha256(
+        json.dumps([s.x.tolist() for s in solutions]).encode()
+    ).hexdigest()[:16]
+    assert (stats.nodes_explored, stats.status, stats.exhausted, digest) == expected
+
 
 class TestRecoverLabels:
     def test_identity_samples(self):
@@ -329,6 +375,15 @@ class TestRecoverLabels:
             got = {tuple(v) for v in enumerate_labels(x, beta)}
             assert got == expected
 
+    def test_deep_search_has_no_recursion_ceiling(self):
+        # 1500 rows is deeper than Python's recursion limit. With every label
+        # +1 the walk reaches the last row without backtracking, so this pins
+        # depth, not search cost.
+        x = np.random.default_rng(64).integers(0, 2, (1500, 6)).astype(np.int64)
+        beta = x.T @ np.ones(1500, dtype=np.int64)
+        (y,) = enumerate_labels(x, beta, limit=1)
+        assert np.array_equal(x.T @ y, beta)
+
 
 def test_searches_leave_no_reference_cycles():
     # Every search frees its state by reference counting alone, so memory
@@ -336,12 +391,16 @@ def test_searches_leave_no_reference_cycles():
     rng = np.random.default_rng(62)
     model = build_model(gram_of(fedsim.random_batch(rng, 5, 10).x), 5)
     dup = np.array([[1, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 0]], dtype=np.int64)
+    wide = build_model(gram_of(fedsim.random_batch(rng, 4, 200).x), 4)
+    tall = rng.integers(0, 2, (1500, 6)).astype(np.int64)
     gc.collect()
     gc.disable()
     try:
         solve(model)
         solve(model, limit=2)
+        solve(wide, limit=2)
         enumerate_labels(dup, dup.T @ np.array([1, -1, 1, 1]))
+        enumerate_labels(tall, tall.sum(axis=0), limit=1)
         assert gc.collect() == 0
     finally:
         gc.enable()
