@@ -51,20 +51,37 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _pick(flag, config: dict, key: str, default):
-    """Flag beats config file beats built-in default."""
+_CONFIG_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
+                 str: "a string"}
+
+
+def _pick(flag, config: dict, key: str, default, kind: type):
+    """Flag beats config file beats built-in default.
+
+    Flags arrive converted by click. A config value must already be of
+    ``kind`` (an int also passes as a float), or the command exits 2: no
+    string is parsed and no fraction is truncated.
+    """
     if flag is not None:
         return flag
-    if key in config:
-        return config[key]
-    return default
+    if key not in config:
+        return default
+    value = config[key]
+    if kind is float:
+        ok = type(value) in (int, float) and math.isfinite(value)
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise CliError(f"config value {key!r} must be {_CONFIG_KINDS[kind]}, got {value!r}",
+                       EXIT_USAGE)
+    return kind(value)
 
 
 def _search_bounds(limit: int, deadline) -> tuple[int | None, float | None]:
     """Check --limit (0 = exhaustive) and --deadline (seconds) for a solve."""
     if limit < 0:
         raise CliError(f"--limit must be 0 (exhaustive) or positive, got {limit}", EXIT_USAGE)
-    if deadline is not None and not (isinstance(deadline, (int, float)) and deadline >= 0):
+    if deadline is not None and not deadline >= 0:
         raise CliError(f"--deadline must be a number of seconds >= 0, got {deadline!r}",
                        EXIT_USAGE)
     return limit or None, deadline
@@ -125,16 +142,16 @@ def cmd_simulate(config_path, batch_size, features, batches, parties, rounds, mo
                  learning_rate, seed, shuffle, out):
     """Simulate a training run and write its transcript JSON."""
     cfg = _load_config(config_path)
-    m = int(_pick(batch_size, cfg, "m", 5))
-    d = int(_pick(features, cfg, "d", 10))
-    mode = _pick(mode, cfg, "mode", fedsim.SYNCHRONIZED)
-    parties = int(_pick(parties, cfg, "parties", 2))
-    rounds = int(_pick(rounds, cfg, "rounds", d + 3))
-    learning_rate = float(_pick(learning_rate, cfg, "lambda", 0.1))
-    seed = int(_pick(seed, cfg, "seed", 0))
-    shuffle = bool(_pick(shuffle, cfg, "shuffle", False))
-    batches = int(_pick(batches, cfg, "batches", 2))
-    out = _pick(out, cfg, "out", "transcript.json")
+    m = _pick(batch_size, cfg, "m", 5, int)
+    d = _pick(features, cfg, "d", 10, int)
+    mode = _pick(mode, cfg, "mode", fedsim.SYNCHRONIZED, str)
+    parties = _pick(parties, cfg, "parties", 2, int)
+    rounds = _pick(rounds, cfg, "rounds", d + 3, int)
+    learning_rate = _pick(learning_rate, cfg, "lambda", 0.1, float)
+    seed = _pick(seed, cfg, "seed", 0, int)
+    shuffle = _pick(shuffle, cfg, "shuffle", False, bool)
+    batches = _pick(batches, cfg, "batches", 2, int)
+    out = _pick(out, cfg, "out", "transcript.json", str)
     try:
         config = fedsim.TrainingConfig(
             learning_rate=learning_rate, mode=mode, parties=parties,
@@ -290,11 +307,16 @@ def cmd_reconstruct(report, batch_size, discover, max_m, limit, deadline,
         if stats.status == reconstruct.STATUS_INFEASIBLE:
             raise CliError("no batch matches the recovered system", EXIT_INFEASIBLE)
         raise CliError("search stopped before finding a batch", EXIT_DEADLINE)
-    first = solutions[0]
-    try:
-        labels = reconstruct.recover_labels(first.x, beta)
-    except reconstruct.NoConsistentLabels as exc:
-        raise CliError(f"NoConsistentLabels: {exc}", EXIT_NO_LABELS)
+    # Write the first solution that some labeling fits: the batches found
+    # share alpha, but beta can rule some of them out.
+    for first in solutions:
+        try:
+            labels = reconstruct.recover_labels(first.x, beta)
+            break
+        except reconstruct.NoConsistentLabels as exc:
+            error = exc
+    else:
+        raise CliError(f"NoConsistentLabels: {error}", EXIT_NO_LABELS)
     check = reconstruct.verify_solution(
         first.x, labels, attack.RecoveredSystem(alpha=alpha, beta=beta)
     )
@@ -310,6 +332,8 @@ def cmd_reconstruct(report, batch_size, discover, max_m, limit, deadline,
             "wall_time": stats.wall_time,
             "status": stats.status,
             "exhausted": stats.exhausted,
+            "column_order": list(stats.column_order),
+            "nodes_per_column": list(stats.nodes_per_column),
             "constraints": model.constraint_count,
             "constraints_ordered": model.ordered_constraint_count,
         },
@@ -358,6 +382,8 @@ def _table1_cell(args: tuple) -> dict:
         "trial_statuses": statuses,
         "solutions_found": [s.solutions_found for s in trial_stats],
         "nodes_explored": [s.nodes_explored for s in trial_stats],
+        "column_order": [list(s.column_order) for s in trial_stats],
+        "nodes_per_column": [list(s.nodes_per_column) for s in trial_stats],
         "trials": trials,
     }
 
@@ -377,15 +403,17 @@ def _table1_cell(args: tuple) -> dict:
 def cmd_table1(config_path, grid, trials, seed, limit, deadline, jobs, out, fmt):
     """Reconstruction-cost grid: per cell, median solve time and uniqueness."""
     cfg = _load_config(config_path)
-    grid = _pick(grid, cfg, "grid", DEFAULT_GRID)
-    trials = int(_pick(trials, cfg, "trials", 3))
-    seed = int(_pick(seed, cfg, "seed", 0))
+    grid = _pick(grid, cfg, "grid", DEFAULT_GRID, str)
+    trials = _pick(trials, cfg, "trials", 3, int)
+    seed = _pick(seed, cfg, "seed", 0, int)
     limit, deadline = _search_bounds(
-        int(_pick(limit, cfg, "limit", 2)), _pick(deadline, cfg, "deadline", None)
+        _pick(limit, cfg, "limit", 2, int), _pick(deadline, cfg, "deadline", None, float)
     )
-    jobs = int(_pick(jobs, cfg, "jobs", 1))
-    fmt = _pick(fmt, cfg, "format", "csv")
-    out = _pick(out, cfg, "out", f"table1.{fmt}")
+    jobs = _pick(jobs, cfg, "jobs", 1, int)
+    fmt = _pick(fmt, cfg, "format", "csv", str)
+    if fmt not in ("csv", "json"):
+        raise CliError(f"format must be csv or json, got {fmt!r}", EXIT_USAGE)
+    out = _pick(out, cfg, "out", f"table1.{fmt}", str)
     if trials < 1:
         raise CliError("need at least one trial per cell", EXIT_USAGE)
     cells = _grid_cells(grid)
@@ -427,9 +455,9 @@ def cmd_table1(config_path, grid, trials, seed, limit, deadline, jobs, out, fmt)
 def cmd_theorems(config_path, trials, seed, tol, out):
     """Numeric checks: closed-form pass equivalence and manifold nullity grid."""
     cfg = _load_config(config_path)
-    trials = int(_pick(trials, cfg, "trials", 100))
-    seed = int(_pick(seed, cfg, "seed", 0))
-    tol = float(_pick(tol, cfg, "tol", 1e-9))
+    trials = _pick(trials, cfg, "trials", 100, int)
+    seed = _pick(seed, cfg, "seed", 0, int)
+    tol = _pick(tol, cfg, "tol", 1e-9, float)
     lambdas = (0.01, 0.1, 0.5)
     max_dev = 0.0
     equivalence_failures = []

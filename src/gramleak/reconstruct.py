@@ -14,7 +14,10 @@ rows are only distinguished by the pattern of already-placed columns. The
 search therefore branches on how many rows of each pattern group receive a 1
 in the new column, which enforces every column-sum and co-occurrence count
 exactly as it goes and yields each row multiset exactly once (canonical,
-permutation-free enumeration).
+permutation-free enumeration). Columns are placed fail-first: once per
+solve, ``_column_order`` puts the most constrained columns first, and the
+solutions are mapped back to the input column order, canonicalized and
+sorted, so exhaustive output does not depend on the order of the walk.
 
 Labels complete the picture: ``recover_labels`` finds sign vectors y with
 ``X'y = beta``, via the linear system when rows are independent and by a
@@ -23,6 +26,7 @@ pruned sign search otherwise.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -95,6 +99,8 @@ class SolverStats:
     wall_time: float
     status: str
     exhausted: bool
+    column_order: tuple[int, ...]  # input column indices, in the order placed
+    nodes_per_column: tuple[int, ...]  # search nodes per placed column, same order
 
 
 def count_constraints(m: int, d: int) -> int:
@@ -184,42 +190,89 @@ def export_model_text(model: IlpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _column_order(alpha: list[list[int]], m: int) -> list[int]:
+    """Fail-first placement order of the columns of a screened Gram matrix.
+
+    The first column is the one whose density is most extreme, ``|2 a_ii - m|``
+    largest. Each next column is the free column c whose 2x2 tables with the
+    placed columns l are the most lopsided; the table of c and l counts the
+    rows holding (1,1), (1,0), (0,1) and (0,0): ``a_cl``, ``a_cc - a_cl``,
+    ``a_ll - a_cl`` and ``m - a_cc - a_ll + a_cl``. Lopsided tables leave
+    few ways to split each row group, so the search fails early (Haralick
+    and Elliott, 1980). The smallest running sum of ``log1p`` over the cells
+    wins; ties go to the more extreme density, then to the lower index. The
+    screen keeps every cell in [0, m]. O(d^2), once per solve.
+    """
+    d = len(alpha)
+    diag = [alpha[i][i] for i in range(d)]
+    # Free columns stay in density-rank order, so the first minimum breaks ties.
+    free = sorted(range(d), key=lambda i: (-abs(2 * diag[i] - m), i))
+    log1p = [math.log1p(v) for v in range(m + 1)]
+    score = [0.0] * d
+    order = [free.pop(0)]
+    while free:
+        last = order[-1]
+        row = alpha[last]
+        a_ll = diag[last]
+        rest = m - a_ll
+        best, best_score = 0, math.inf
+        for k, c in enumerate(free):
+            a = row[c]
+            a_cc = diag[c]
+            s = score[c] + log1p[a] + log1p[a_cc - a] + log1p[a_ll - a] + log1p[rest - a_cc + a]
+            score[c] = s
+            if s < best_score:
+                best, best_score = k, s
+        order.append(free.pop(best))
+    return order
+
+
 class _Search:
     """Column-by-column enumeration of row multisets matching alpha.
 
-    State is a list of (size, pattern) row groups, a group being the rows
-    whose already-placed bits agree. Placing column c means picking, per
-    group, how many of its rows get a 1; the diagonal fixes the total and
-    each earlier column l fixes the count landing in groups with bit l set.
-    Group counts are branched depth-first (larger counts first) with
-    reach/excess pruning against every open count, so each leaf satisfies
-    all placed constraints exactly and distinct leaves are distinct row
-    multisets. Columns and groups are walked with explicit stacks, so the
-    depth of the search is not bounded by Python's recursion limit.
+    Columns are placed in the order of alpha's rows; ``solve`` hands over a
+    Gram matrix already permuted into ``_column_order``. State is a list of
+    (size, pattern) row groups, a group being the rows whose already-placed
+    bits agree. Placing column c means picking, per group, how many of its
+    rows get a 1; the diagonal fixes the total and each earlier column l
+    fixes the count landing in groups with bit l set. Group counts are
+    branched depth-first (larger counts first) with reach/excess pruning
+    against every open count, so each leaf satisfies all placed constraints
+    exactly and distinct leaves are distinct row multisets. Columns and
+    groups are walked with explicit stacks, so the depth of the search is not
+    bounded by Python's recursion limit. ``column_nodes[c]`` counts the nodes
+    spent placing column c.
     """
 
-    def __init__(self, alpha: np.ndarray, m: int, limit: int | None, deadline: float | None):
-        self.alpha = [[int(v) for v in row] for row in alpha]
+    def __init__(
+        self, alpha: list[list[int]], m: int, limit: int | None, deadline_at: float | None
+    ):
+        self.alpha = alpha
         self.m = m
-        self.d = len(self.alpha)
+        self.d = len(alpha)
         self.limit = limit
-        self.deadline_at = None if deadline is None else time.perf_counter() + deadline
+        self.deadline_at = deadline_at  # time.perf_counter() reading, or None
         self.solutions: list[tuple[tuple[int, ...], ...]] = []
         self.nodes = 0
+        self.column_nodes = [0] * self.d
         self.stopped = False
 
     def run(self) -> None:
         # One split generator per placed column; the deepest is resumed, and
         # none is resumed once the search stops, so no node counts after that.
         walks = [self._splits(0, [(self.m, 0)])]
+        column_nodes = self.column_nodes
         while walks and not self.stopped:
+            col = len(walks) - 1
+            before = self.nodes
             groups = next(walks[-1], None)
+            column_nodes[col] += self.nodes - before
             if groups is None:
                 walks.pop()
-            elif len(walks) == self.d:
+            elif col + 1 == self.d:
                 self._record(groups)
             else:
-                walks.append(self._splits(len(walks), groups))
+                walks.append(self._splits(col + 1, groups))
 
     def _record(self, groups: list[tuple[int, int]]) -> None:
         rows = []
@@ -261,7 +314,9 @@ class _Search:
         g = placed = 0
         while True:
             self.nodes += 1
-            if (self.nodes & 1023 == 0 and self.deadline_at is not None
+            # The clock is read at the first node, so a zero deadline stops
+            # even a small search, and then every 1024 nodes.
+            if (self.nodes & 1023 == 1 and self.deadline_at is not None
                     and time.perf_counter() > self.deadline_at):
                 self.stopped = True
                 return
@@ -310,6 +365,15 @@ class _Search:
                 return
 
 
+def _search_status(found: int, exhausted: bool) -> str:
+    """What a search that found ``found`` solutions has established."""
+    if found >= 2:
+        return STATUS_MULTIPLE
+    if found == 1:
+        return STATUS_UNIQUE if exhausted else STATUS_LIMIT
+    return STATUS_INFEASIBLE if exhausted else STATUS_LIMIT
+
+
 def solve(
     model: IlpModel,
     limit: int | None = None,
@@ -321,33 +385,36 @@ def solve(
     otherwise exhausts the search. Status reads ``unique``/``multiple`` only
     from what was actually established: ``unique`` requires exhaustion, and
     an interrupted search with fewer than two solutions reports
-    ``limit_reached`` (check ``exhausted`` to distinguish).
+    ``limit_reached`` (check ``exhausted`` to distinguish). Solutions are in
+    canonical form and sorted, so an exhaustive result does not depend on
+    the column order the search walked; which solutions an interrupted
+    search returns does.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1 when given")
     if deadline is not None and not deadline >= 0:
         raise ValueError("deadline must be a non-negative number of seconds when given")
     start = time.perf_counter()
-    search = _Search(model.alpha, model.m, limit, deadline)
+    alpha = model.alpha.tolist()
+    order = _column_order(alpha, model.m)
+    permuted = [[row[j] for j in order] for row in (alpha[i] for i in order)]
+    search = _Search(permuted, model.m, limit, None if deadline is None else start + deadline)
     search.run()
+    # Column j of the walk is input column order[j]; read each row back in input order.
+    position = sorted(range(model.d), key=order.__getitem__)
+    batches = sorted(
+        sorted(tuple(row[j] for j in position) for row in rows) for rows in search.solutions
+    )
     wall = time.perf_counter() - start
-    solutions = [
-        Solution(x=np.array(rows, dtype=np.int64)) for rows in search.solutions
-    ]
-    exhausted = not search.stopped
-    found = len(solutions)
-    if found >= 2:
-        status = STATUS_MULTIPLE
-    elif found == 1:
-        status = STATUS_UNIQUE if exhausted else STATUS_LIMIT
-    else:
-        status = STATUS_INFEASIBLE if exhausted else STATUS_LIMIT
+    solutions = [Solution(x=np.array(rows, dtype=np.int64)) for rows in batches]
     stats = SolverStats(
         nodes_explored=search.nodes,
-        solutions_found=found,
+        solutions_found=len(solutions),
         wall_time=wall,
-        status=status,
-        exhausted=exhausted,
+        status=_search_status(len(solutions), not search.stopped),
+        exhausted=not search.stopped,
+        column_order=tuple(order),
+        nodes_per_column=tuple(search.column_nodes),
     )
     return solutions, stats
 

@@ -195,6 +195,8 @@ class TestReconstructCommand:
             xi.T @ yi, truth.x.astype(np.int64).T @ truth.y.astype(np.int64)
         )
         assert doc["stats"]["constraints_ordered"] == count_constraints(5, 10)
+        assert sorted(doc["stats"]["column_order"]) == list(range(10))
+        assert sum(doc["stats"]["nodes_per_column"]) == doc["stats"]["nodes_explored"]
 
     def test_discovery_mode(self, runner, tmp_path):
         report, truth = self.make_report(runner, tmp_path, m=3, d=6, seed=7)
@@ -214,6 +216,22 @@ class TestReconstructCommand:
         doc = json.loads(solution.read_text())
         assert doc["stats"]["status"] == "multiple"
         assert doc["stats"]["solutions_found"] == 2
+
+    def test_labels_pick_among_multiple_solutions(self, runner, tmp_path):
+        # Two 4x3 batches share alpha; only the second in canonical order
+        # has a labeling that reproduces beta.
+        x = np.array([[1, 1, 1], [1, 0, 0], [0, 0, 1], [0, 1, 0]])
+        y = np.array([-1, -1, -1, 1])
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps(
+            {"kind": "alpha_beta", "alpha": (x.T @ x).tolist(), "beta": (x.T @ y).tolist()}
+        ))
+        solution = tmp_path / "s.json"
+        run_ok(runner, ["reconstruct", str(report), "--m", "4", "--out", str(solution)])
+        doc = json.loads(solution.read_text())
+        assert doc["stats"]["status"] == "multiple"
+        assert doc["x"] == canonical_rows(x).tolist()
+        assert np.array_equal(np.array(doc["x"]).T @ np.array(doc["y"]), x.T @ y)
 
     def test_model_export(self, runner, tmp_path):
         report, _ = self.make_report(runner, tmp_path, m=2, d=3, seed=8)
@@ -317,6 +335,11 @@ class TestTable1Command:
         assert cell["trials"] == 2
         assert len(cell["trial_statuses"]) == 2
         assert len(cell["nodes_explored"]) == 2
+        for order, per_column, nodes in zip(
+            cell["column_order"], cell["nodes_per_column"], cell["nodes_explored"]
+        ):
+            assert sorted(order) == list(range(5))
+            assert len(per_column) == 5 and sum(per_column) == nodes
 
     def test_parallel_jobs_match_serial(self, runner, tmp_path):
         serial = tmp_path / "serial.csv"
@@ -375,6 +398,27 @@ class TestTheoremsCommand:
             c["nullity"] >= c["required_nullity"] > 0
             for c in doc["nullity_grid"]["cells"]
         )
+
+
+@pytest.mark.parametrize("command, config", [
+    ("simulate", {"m": "x"}),
+    ("simulate", {"m": 2.7}),
+    ("simulate", {"shuffle": "false"}),
+    ("table1", {"trials": "x"}),
+    ("table1", {"limit": 1.5}),
+    ("table1", {"format": "xml"}),
+    ("theorems", {"trials": "x"}),
+    ("theorems", {"tol": float("nan")}),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_bad_config_value_is_a_usage_error(runner, tmp_path, command, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, [command, "--config", str(path), "--out", str(out)])
+    assert result.exit_code == cli.EXIT_USAGE, result.output
+    (key,) = config
+    assert key in result.output
+    assert not out.exists()
 
 
 def test_rank_correlation_helper():

@@ -23,6 +23,9 @@ def test_searches_contain_the_ground_truth(batch):
     assert stats.exhausted
     for sol in solutions:
         assert np.array_equal(sol.x.T @ sol.x, alpha)
+        assert np.array_equal(sol.x, canonical_rows(sol.x))
+    batches = [sol.x.tolist() for sol in solutions]
+    assert batches == sorted(batches)
     truth = canonical_rows(x)
     assert any(np.array_equal(sol.x, truth) for sol in solutions)
     labelings = enumerate_labels(x, x.T @ y)

@@ -294,10 +294,25 @@ class TestSolve:
         assert np.array_equal(solutions[0].x, canonical_rows(xi))
 
 
+def identity_order_search(alpha, m, limit=None):
+    """The search with its columns walked in input order: the reference for solve."""
+    search = reconstruct._Search(np.asarray(alpha).tolist(), m, limit, None)
+    search.run()
+    return search
+
+
+def walk_digest(batches):
+    text = json.dumps([np.asarray(x).tolist() for x in batches])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 # (seed, rows drawn, batch size solved, d, limit) -> nodes_explored, status,
-# exhausted, and a digest of the solutions in order, recorded with the earlier
-# recursive search: the walk must not change. Seed 86 one row short is infeasible.
-GOLDEN_SEARCHES = [
+# exhausted, and a digest of the solutions in order. Seed 86 one row short is
+# infeasible. IDENTITY_ORDER_WALKS were recorded with the earlier recursive
+# search, whose columns went in input order: the search itself must not
+# change. GOLDEN_SEARCHES are what ``solve`` walks in fail-first column order;
+# seed 87 at 16x30 took 497 918 nodes in input order.
+IDENTITY_ORDER_WALKS = [
     ((70, 3, 3, 5, None), (17, "unique", True, "5a225fc940af52a2")),
     ((71, 5, 5, 10, None), (53, "unique", True, "1e26187773e6b065")),
     ((72, 5, 5, 10, 1), (62, "limit_reached", False, "572457da3a214a64")),
@@ -311,17 +326,88 @@ GOLDEN_SEARCHES = [
     ((80, 11, 11, 15, None), (750, "unique", True, "2b10756ae5c784f7")),
     ((86, 6, 5, 8, None), (27, "infeasible", True, "4f53cda18c2baa0c")),
 ]
+GOLDEN_SEARCHES = [
+    ((70, 3, 3, 5, None), (16, "unique", True, "5a225fc940af52a2")),
+    ((71, 5, 5, 10, None), (47, "unique", True, "1e26187773e6b065")),
+    ((72, 5, 5, 10, 1), (46, "limit_reached", False, "572457da3a214a64")),
+    ((73, 8, 8, 5, None), (47, "multiple", True, "6be5cc16cb9d004a")),
+    ((74, 8, 8, 10, 2), (104, "unique", True, "f39c39879666b97a")),
+    ((75, 9, 9, 5, 2), (41, "multiple", False, "a808a8048dfc0b65")),
+    ((76, 9, 9, 15, 2), (153, "unique", True, "a356dec4559ce052")),
+    ((77, 11, 11, 5, None), (34, "multiple", True, "4b2fb2e85049baed")),
+    ((78, 11, 11, 10, 1), (153, "limit_reached", False, "07c36e6b7819d3bd")),
+    ((79, 11, 11, 20, 2), (477, "unique", True, "0f5c69fc1427b9b3")),
+    ((80, 11, 11, 15, None), (323, "unique", True, "2b10756ae5c784f7")),
+    ((86, 6, 5, 8, None), (7, "infeasible", True, "4f53cda18c2baa0c")),
+    ((87, 16, 16, 30, None), (4599, "unique", True, "bfe52dc7e2c2af03")),
+]
+
+
+def golden_gram(seed, rows, d):
+    xi = fedsim.random_batch(np.random.default_rng(seed), rows, d).x.astype(np.int64)
+    return gram_of(xi)
+
+
+@pytest.mark.parametrize("case, expected", IDENTITY_ORDER_WALKS, ids=lambda v: str(v[0]))
+def test_search_walk_matches_recording(case, expected):
+    seed, rows, m, d, limit = case
+    search = identity_order_search(golden_gram(seed, rows, d), m, limit)
+    exhausted = not search.stopped
+    status = reconstruct._search_status(len(search.solutions), exhausted)
+    got = (search.nodes, status, exhausted, walk_digest(search.solutions))
+    assert got == expected
+    assert sum(search.column_nodes) == search.nodes
 
 
 @pytest.mark.parametrize("case, expected", GOLDEN_SEARCHES, ids=lambda v: str(v[0]))
-def test_search_walk_matches_recording(case, expected):
+def test_solve_walk_matches_recording(case, expected):
     seed, rows, m, d, limit = case
-    xi = fedsim.random_batch(np.random.default_rng(seed), rows, d).x.astype(np.int64)
-    solutions, stats = solve(build_model(gram_of(xi), m), limit=limit)
-    digest = hashlib.sha256(
-        json.dumps([s.x.tolist() for s in solutions]).encode()
-    ).hexdigest()[:16]
+    solutions, stats = solve(build_model(golden_gram(seed, rows, d), m), limit=limit)
+    digest = walk_digest([s.x for s in solutions])
     assert (stats.nodes_explored, stats.status, stats.exhausted, digest) == expected
+    assert sorted(stats.column_order) == list(range(d))
+    assert len(stats.nodes_per_column) == d
+    assert sum(stats.nodes_per_column) == stats.nodes_explored
+
+
+def test_column_order_is_fail_first():
+    # Column sums 2, 4, 1, 3 of m = 4 rows: the full column 1 is the most
+    # extreme density. Columns 2 and 3 then tie on their tables with it
+    # (cells 1, 0, 3, 0 and 3, 0, 1, 0); both are one away from a full or an
+    # empty column, so the lower index, 2, wins. With column 2 placed, column
+    # 3's tables are more lopsided than column 0's.
+    x = np.array([[1, 1, 1, 1], [1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 0]])
+    assert reconstruct._column_order(gram_of(x).tolist(), 4) == [1, 2, 3, 0]
+    _, stats = solve(build_model(gram_of(x), 4))
+    assert stats.column_order == (1, 2, 3, 0)
+
+
+def test_column_order_keeps_solution_sets():
+    # solve walks the columns fail-first; the input-order walk of the same
+    # search is the reference. Exhaustive sets and statuses must agree, also
+    # with repeated rows and at an infeasible batch size one row short.
+    rng = np.random.default_rng(65)
+    compared = infeasible = 0
+    for trial in range(320):
+        m = int(rng.integers(1, 10))
+        d = int(rng.integers(1, 11))
+        x = rng.integers(0, 2, (m, d)).astype(np.int64)
+        if trial % 4 == 0 and m > 2:
+            x[1:3] = x[0]
+        alpha = gram_of(x)
+        for size in (m, m - 1):
+            try:
+                model = build_model(alpha, size)
+            except InfeasibleScreen:
+                continue
+            solutions, stats = solve(model)
+            reference = identity_order_search(alpha, size)
+            assert stats.exhausted and not reference.stopped
+            assert stats.status == reconstruct._search_status(len(reference.solutions), True)
+            assert [tuple(map(tuple, s.x)) for s in solutions] == sorted(reference.solutions)
+            compared += 1
+            infeasible += stats.status == reconstruct.STATUS_INFEASIBLE
+    assert compared >= 300 and infeasible >= 10
 
 
 class TestRecoverLabels:
