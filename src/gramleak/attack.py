@@ -37,6 +37,7 @@ class RecoveredSystem:
     alpha: np.ndarray  # (d, d) int64, symmetric PSD
     beta: np.ndarray  # (d,) int64
     max_integrality_residual: float = 0.0  # worst distance of a solved entry from its integer
+    max_fit_residual: float = 0.0  # worst gap between an observed push and the rounded fit
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,7 @@ class ClosedFormParams:
     gamma: np.ndarray  # (d, d)
     eta: np.ndarray  # (d,)
     learning_rate: float
+    max_fit_residual: float = 0.0  # worst gap between an observed push and the fit
 
 
 class NullityCheck(NamedTuple):
@@ -105,7 +107,9 @@ def recover_alpha_beta(
     alpha = numkit.round_integral(alpha_raw, tol)
     beta = numkit.round_integral(beta_raw, tol)
     integrality = float(np.max(np.abs(solved - np.rint(solved))))
-    return RecoveredSystem(alpha=alpha, beta=beta, max_integrality_residual=integrality)
+    fit = learning_rate * (0.25 * thetas @ alpha - 0.5 * beta)
+    residual = float(np.max(np.abs(fit - deltas)))
+    return RecoveredSystem(alpha, beta, integrality, residual)
 
 
 def recover_gamma_eta(
@@ -137,9 +141,7 @@ def recover_gamma_eta(
             f"affine fit residual {residual:.3e} exceeds {tol * scale:.3e}; "
             "rounds do not share one batch order (shuffle active?) or data changed"
         )
-    return ClosedFormParams(
-        gamma=solved[:, :d].copy(), eta=solved[:, d].copy(), learning_rate=learning_rate
-    )
+    return ClosedFormParams(solved[:, :d].copy(), solved[:, d].copy(), learning_rate, residual)
 
 
 def closed_form_params(

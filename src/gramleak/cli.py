@@ -77,6 +77,14 @@ def _pick(flag, config: dict, key: str, default, kind: type):
     return kind(value)
 
 
+def _pick_seed(flag, config: dict) -> int:
+    """The run's seed: ``_pick`` of ``seed`` (default 0), which numpy needs >= 0."""
+    seed = _pick(flag, config, "seed", 0, int)
+    if seed < 0:
+        raise CliError(f"seed must be 0 or positive, got {seed}", EXIT_USAGE)
+    return seed
+
+
 def _search_bounds(limit: int, deadline) -> tuple[int | None, float | None]:
     """Check --limit (0 = exhaustive) and --deadline (seconds) for a solve."""
     if limit < 0:
@@ -148,7 +156,7 @@ def cmd_simulate(config_path, batch_size, features, batches, parties, rounds, mo
     parties = _pick(parties, cfg, "parties", 2, int)
     rounds = _pick(rounds, cfg, "rounds", d + 3, int)
     learning_rate = _pick(learning_rate, cfg, "lambda", 0.1, float)
-    seed = _pick(seed, cfg, "seed", 0, int)
+    seed = _pick_seed(seed, cfg)
     shuffle = _pick(shuffle, cfg, "shuffle", False, bool)
     batches = _pick(batches, cfg, "batches", 2, int)
     out = _pick(out, cfg, "out", "transcript.json", str)
@@ -187,9 +195,7 @@ def cmd_attack(transcript, tol, out):
     t = _read_transcript(transcript)
     observations = list(t.observations)
     lr = t.config.learning_rate
-    thetas = np.array([o.theta for o in observations])
-    deltas = np.array([o.delta for o in observations])
-    n_obs, d = thetas.shape
+    n_obs, d = len(observations), observations[0].theta.shape[0]
     # Recovery raises RankDeficient unless each of the d + 1 design columns
     # gets a pivot, and numkit.rank runs the same elimination as
     # solve_linear, so the design of any recovered system has full column rank.
@@ -198,7 +204,6 @@ def cmd_attack(transcript, tol, out):
     try:
         if t.config.mode == fedsim.SYNCHRONIZED:
             system = attack.recover_alpha_beta(observations, lr, tol)
-            fit = lr * (0.25 * thetas @ system.alpha - 0.5 * system.beta)
             report = {
                 "kind": "alpha_beta",
                 "mode": t.config.mode,
@@ -209,13 +214,12 @@ def cmd_attack(transcript, tol, out):
                     "observations": n_obs,
                     "design_rank": design_rank,
                     "max_integrality_residual": system.max_integrality_residual,
-                    "max_fit_residual": float(np.max(np.abs(fit - deltas))),
+                    "max_fit_residual": system.max_fit_residual,
                 },
             }
             summary = f"recovered integral system of width {d}"
         else:
             params = attack.recover_gamma_eta(observations, lr, tol)
-            fit = thetas @ params.gamma.T - 0.5 * lr * params.eta
             report = {
                 "kind": "gamma_eta",
                 "mode": t.config.mode,
@@ -225,7 +229,7 @@ def cmd_attack(transcript, tol, out):
                 "diagnostics": {
                     "observations": n_obs,
                     "design_rank": design_rank,
-                    "max_fit_residual": float(np.max(np.abs(fit - deltas))),
+                    "max_fit_residual": params.max_fit_residual,
                 },
             }
             summary = f"recovered affine pass parameters of width {d}"
@@ -405,7 +409,7 @@ def cmd_table1(config_path, grid, trials, seed, limit, deadline, jobs, out, fmt)
     cfg = _load_config(config_path)
     grid = _pick(grid, cfg, "grid", DEFAULT_GRID, str)
     trials = _pick(trials, cfg, "trials", 3, int)
-    seed = _pick(seed, cfg, "seed", 0, int)
+    seed = _pick_seed(seed, cfg)
     limit, deadline = _search_bounds(
         _pick(limit, cfg, "limit", 2, int), _pick(deadline, cfg, "deadline", None, float)
     )
@@ -456,7 +460,7 @@ def cmd_theorems(config_path, trials, seed, tol, out):
     """Numeric checks: closed-form pass equivalence and manifold nullity grid."""
     cfg = _load_config(config_path)
     trials = _pick(trials, cfg, "trials", 100, int)
-    seed = _pick(seed, cfg, "seed", 0, int)
+    seed = _pick_seed(seed, cfg)
     tol = _pick(tol, cfg, "tol", 1e-9, float)
     lambdas = (0.01, 0.1, 0.5)
     max_dev = 0.0

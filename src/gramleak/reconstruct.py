@@ -19,13 +19,15 @@ solve, ``_column_order`` puts the most constrained columns first, and the
 solutions are mapped back to the input column order, canonicalized and
 sorted, so exhaustive output does not depend on the order of the walk.
 
-Labels complete the picture: ``recover_labels`` finds sign vectors y with
-``X'y = beta``, via the linear system when rows are independent and by a
-pruned sign search otherwise.
+Labels complete the picture: with ``z = (y + 1) / 2`` a sign labeling y is
+one more 0/1 column of the batch, whose co-occurrence counts with X are
+``c = (beta + diag(alpha)) / 2``. ``enumerate_labels`` and ``recover_labels``
+place that column with the same search, over the row groups of X.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -75,21 +77,12 @@ class IlpModel:
         """Ordered-pair accounting, (2m+1)d^2 - 2md, for external comparison."""
         return count_constraints(self.m, self.d)
 
-    @property
-    def x_variable_count(self) -> int:
-        return self.m * self.d
-
-    @property
-    def delta_variable_count(self) -> int:
-        return self.m * self.d * (self.d - 1) // 2
-
 
 @dataclass(frozen=True)
 class Solution:
     """Candidate batch in canonical form (rows sorted lexicographically)."""
 
     x: np.ndarray  # (m, d) int64 binary
-    y: np.ndarray | None = None  # (m,) int64 in {-1, +1} when labels were recovered
 
 
 @dataclass(frozen=True)
@@ -260,7 +253,7 @@ class _Search:
     def run(self) -> None:
         # One split generator per placed column; the deepest is resumed, and
         # none is resumed once the search stops, so no node counts after that.
-        walks = [self._splits(0, [(self.m, 0)])]
+        walks = [self._splits(0, self.alpha[0], [(self.m, 0)])]
         column_nodes = self.column_nodes
         while walks and not self.stopped:
             col = len(walks) - 1
@@ -272,7 +265,7 @@ class _Search:
             elif col + 1 == self.d:
                 self._record(groups)
             else:
-                walks.append(self._splits(col + 1, groups))
+                walks.append(self._splits(col + 1, self.alpha[col + 1], groups))
 
     def _record(self, groups: list[tuple[int, int]]) -> None:
         rows = []
@@ -284,20 +277,21 @@ class _Search:
             self.stopped = True
 
     def _splits(
-        self, col: int, groups: list[tuple[int, int]]
+        self, col: int, row: list[int], groups: list[tuple[int, int]]
     ) -> Iterator[list[tuple[int, int]]]:
         """Yield the row groups left by each complete split of column ``col``.
 
+        ``row`` is the column's Gram row: ``row[l]`` of the rows with bit l
+        set get a 1, for each placed column ``l < col``, and ``row[col]`` in all.
         A node decides one group's count; ``stack`` holds one frame per
         decided group: [group, rows placed before it, count, lowest count].
         """
-        alpha_col = self.alpha[col]
         n_groups = len(groups)
         sizes = [s for s, _ in groups]
         patterns = [p for _, p in groups]
         bits = [[l for l in range(col) if p & (1 << l)] for p in patterns]
-        total_target = alpha_col[col]
-        targets = alpha_col[:col]
+        total_target = row[col]
+        targets = row[:col]
         suffix_total = [0] * (n_groups + 1)
         for g in range(n_groups - 1, -1, -1):
             suffix_total[g] = suffix_total[g + 1] + sizes[g]
@@ -428,48 +422,12 @@ def _as_binary_matrix(x: np.ndarray) -> np.ndarray:
     return a.astype(np.int64)
 
 
-def _search_labels(
-    xi: np.ndarray, beta: np.ndarray, limit: int | None
-) -> list[np.ndarray]:
-    m, d = xi.shape
-    found: list[np.ndarray] = []
-    # Suffix column sums bound what unassigned rows can still contribute;
-    # the parity of the reachable contribution is fixed as well.
-    suffix = np.zeros((m + 1, d), dtype=np.int64)
-    for k in range(m - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + xi[k]
-    signs = np.zeros(m, dtype=np.int64)
-    partial = np.zeros(d, dtype=np.int64)
-    k = 0  # rows 0..k-1 carry a sign; +1 is tried before -1
-    while True:
-        remainder = beta - partial
-        rest = suffix[k]
-        feasible = not (np.any(np.abs(remainder) > rest) or np.any((remainder - rest) & 1))
-        if feasible and k < m:
-            signs[k] = 1
-            partial += xi[k]
-            k += 1
-            continue
-        if feasible:
-            found.append(signs.copy())
-            if limit is not None and len(found) >= limit:
-                return found
-        # Unassign the trailing -1 rows, then flip the deepest +1 to -1.
-        while k and signs[k - 1] == -1:
-            k -= 1
-            partial += xi[k]
-        if not k:
-            return found
-        signs[k - 1] = -1
-        partial -= 2 * xi[k - 1]
-
-
 def recover_labels(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Find one sign labeling y with ``X'y = beta`` exactly.
 
-    Solves the real system and rounds when the rows are linearly independent
-    (the labeling is then unique if it exists at all); otherwise falls back to
-    a depth-first sign search with reach and parity pruning.
+    The first labeling ``enumerate_labels`` finds: on a batch with sorted
+    rows, such as ``solve`` returns, it is the lexicographically largest,
+    +1 before -1.
     """
     labelings = enumerate_labels(x, beta, limit=1)
     if not labelings:
@@ -482,7 +440,15 @@ def recover_labels(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def enumerate_labels(
     x: np.ndarray, beta: np.ndarray, limit: int | None = None
 ) -> list[np.ndarray]:
-    """All (or the first ``limit``) sign labelings with ``X'y = beta``."""
+    """All (or the first ``limit``) sign labelings with ``X'y = beta``.
+
+    The +1 rows ``z = (y + 1) / 2`` are column d of the batch, meeting column
+    j in ``c_j = (beta_j + a_jj) / 2`` rows. The search places it over the
+    groups of identical rows, in order of first occurrence, and a last slack
+    group of m rows that takes the -1 rows, so the column total is m. Each
+    split fixes how many rows of each group are +1; every choice of them is
+    a labeling, earliest rows first.
+    """
     xi = _as_binary_matrix(numkit.as_matrix(x))
     beta_i = np.asarray(beta)
     beta_i = numkit.round_integral(beta_i.astype(float), tol=1e-9)
@@ -491,19 +457,46 @@ def enumerate_labels(
         raise numkit.DimensionMismatch(
             f"beta length {beta_i.shape} does not match {d} features"
         )
-    if m > d:
-        # More rows than features: the rows are dependent, so search.
-        return _search_labels(xi, beta_i, limit)
-    try:
-        y_real = numkit.solve_linear(xi.T.astype(float), beta_i.astype(float))
-    except numkit.RankDeficient:
-        return _search_labels(xi, beta_i, limit)
-    # Independent rows: the real solution is unique, and it either rounds to
-    # a valid signing or none exists.
-    y = np.rint(y_real).astype(np.int64)
-    if np.all(np.abs(y) == 1) and np.array_equal(xi.T @ y, beta_i):
-        return [y]
-    return []
+    ones = xi.sum(axis=0)
+    twice = beta_i + ones
+    if np.any(twice & 1) or np.any(twice < 0) or np.any(twice > 2 * ones):
+        return []
+    members: dict[int, list[int]] = {}  # row indices by row pattern
+    for k, row in enumerate(xi.tolist()):
+        members.setdefault(sum(bit << j for j, bit in enumerate(row)), []).append(k)
+    # Only the splitter is used. The slack's pattern sets a bit past the
+    # label column, so no group of X rows shares it.
+    groups = [(len(rows), p) for p, rows in members.items()] + [(m, 2 << d)]
+    splits = _Search([], m, None, None)._splits(d, (twice // 2).tolist() + [m], groups)
+    rows = list(members.values())
+    found: list[np.ndarray] = []
+    for split in splits:
+        plus = {p: t for t, p in split if p >> d == 1}  # +1 rows per group pattern
+        for y in _sign_vectors(m, rows, [plus.get(p | 1 << d, 0) for p in members]):
+            found.append(y)
+            if limit is not None and len(found) >= limit:
+                return found
+    return found
+
+
+def _sign_vectors(m: int, rows: list[list[int]], counts: list[int]) -> Iterator[np.ndarray]:
+    """Each labeling with ``counts[g]`` of ``rows[g]`` at +1; the last group turns fastest."""
+    picks = [itertools.combinations(r, t) for r, t in zip(rows, counts)]
+    chosen = [next(p) for p in picks]
+    g = len(rows)
+    while g >= 0:
+        if g == len(rows):
+            y = np.full(m, -1, dtype=np.int64)
+            y[[k for plus in chosen for k in plus]] = 1
+            yield y
+            g -= 1
+        elif (pick := next(picks[g], None)) is None:
+            picks[g] = itertools.combinations(rows[g], counts[g])
+            chosen[g] = next(picks[g])
+            g -= 1
+        else:
+            chosen[g] = pick
+            g = len(rows)
 
 
 def verify_solution(

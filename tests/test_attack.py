@@ -21,10 +21,17 @@ class TestRecoverAlphaBeta:
     def test_exact_recovery_from_transcript(self):
         rng = np.random.default_rng(20)
         transcript, victims = synchronized_transcript(rng, 5, 8, rounds=11, seed=4)
-        system = attack.recover_alpha_beta(list(transcript.observations), 0.1)
+        observations = list(transcript.observations)
+        system = attack.recover_alpha_beta(observations, 0.1)
         alpha, beta = int_gram(victims[0])
         assert np.array_equal(system.alpha, alpha)
         assert np.array_equal(system.beta, beta)
+        # The fit residual is that of the rounded system.
+        thetas = np.array([o.theta for o in observations])
+        deltas = np.array([o.delta for o in observations])
+        fit = 0.1 * (0.25 * thetas @ alpha - 0.5 * beta)
+        assert system.max_fit_residual == float(np.max(np.abs(fit - deltas)))
+        assert system.max_fit_residual < 1e-10
 
     def test_collinear_design_raises(self):
         rng = np.random.default_rng(21)
@@ -157,6 +164,7 @@ class TestRecoverGammaEta:
         factors = [np.eye(5) - 0.25 * lr * (b.x.T @ b.x) for b in batches]
         expected_gamma = np.eye(5) - factors[1] @ factors[0]
         assert np.max(np.abs(params.gamma - expected_gamma)) < 1e-8
+        assert 0.0 <= params.max_fit_residual < 1e-10
 
     def test_single_batch_gives_scaled_gram(self):
         rng = np.random.default_rng(35)

@@ -409,6 +409,9 @@ class TestTheoremsCommand:
     ("table1", {"format": "xml"}),
     ("theorems", {"trials": "x"}),
     ("theorems", {"tol": float("nan")}),
+    ("simulate", {"seed": -1}),
+    ("table1", {"seed": -1}),
+    ("theorems", {"seed": -1}),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_bad_config_value_is_a_usage_error(runner, tmp_path, command, config):
     path = tmp_path / "cfg.json"
@@ -418,6 +421,15 @@ def test_bad_config_value_is_a_usage_error(runner, tmp_path, command, config):
     assert result.exit_code == cli.EXIT_USAGE, result.output
     (key,) = config
     assert key in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "table1", "theorems"])
+def test_negative_seed_flag_is_a_usage_error(runner, tmp_path, command):
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, [command, "--seed", "-1", "--out", str(out)])
+    assert result.exit_code == cli.EXIT_USAGE, result.output
+    assert "seed" in result.output
     assert not out.exists()
 
 

@@ -117,11 +117,6 @@ class TestBuildModel:
         with pytest.raises(InfeasibleScreen, match="semidefinite"):
             build_model(alpha, 2)
 
-    def test_variable_counts(self):
-        model = build_model(np.zeros((4, 4), dtype=np.int64), 3)
-        assert model.x_variable_count == 12
-        assert model.delta_variable_count == 18
-
 
 class TestExport:
     def test_single_sample_model_listing(self):
@@ -171,8 +166,8 @@ class TestExport:
                 model = build_model(np.zeros((d, d), dtype=np.int64), m)
                 lines = export_model_text(model).strip().splitlines()
                 binaries = [line for line in lines if line.startswith("binary ")]
-                variables = model.x_variable_count + model.delta_variable_count
-                assert len(binaries) == variables
+                # m*d bit variables, then m per unordered column pair.
+                assert len(binaries) == m * d + m * d * (d - 1) // 2
                 assert len(lines) - len(binaries) == model.constraint_count
 
 
@@ -442,8 +437,8 @@ class TestRecoverLabels:
             recover_labels(x, np.array([2, 0]))
 
     def test_enumeration_finds_every_labeling(self):
-        # Up to d = 8, so many batches have m <= d and take the linear-solve
-        # path; repeated rows make some of those rank-deficient.
+        # Up to d = 8, so many batches have independent rows; repeated rows
+        # make some of those rank-deficient.
         rng = np.random.default_rng(59)
         for trial in range(60):
             m = int(rng.integers(1, 7))
@@ -460,6 +455,48 @@ class TestRecoverLabels:
             }
             got = {tuple(v) for v in enumerate_labels(x, beta)}
             assert got == expected
+        # Taller batches with zero rows, repeated rows, and betas that a
+        # perturbed entry leaves without any labeling.
+        rng = np.random.default_rng(66)
+        empty = 0
+        for trial in range(120):
+            m = int(rng.integers(1, 11))
+            d = int(rng.integers(1, 7))
+            x = rng.integers(0, 2, (m, d)).astype(np.int64)
+            if trial % 4 == 1:
+                x[rng.integers(0, m, 2)] = 0
+            if trial % 4 == 2 and m > 3:
+                x[1:4] = x[0]
+            y = 2 * rng.integers(0, 2, m).astype(np.int64) - 1
+            beta = x.T @ y
+            if trial % 4 == 3:
+                beta[rng.integers(0, d)] += int(rng.choice([-2, -1, 1, 2]))
+            expected = {
+                signs
+                for signs in itertools.product((1, -1), repeat=m)
+                if np.array_equal(x.T @ np.array(signs), beta)
+            }
+            labelings = enumerate_labels(x, beta)
+            got = {tuple(v) for v in labelings}
+            assert got == expected and len(labelings) == len(got)
+            empty += not got
+        assert empty >= 10
+
+    def test_sorted_batch_gets_the_largest_labeling(self):
+        # On row-sorted batches, as solve returns them, the labeling chosen
+        # is the lexicographically largest one, +1 before -1.
+        rng = np.random.default_rng(67)
+        for _ in range(60):
+            m = int(rng.integers(1, 11))
+            d = int(rng.integers(1, 6))
+            x = canonical_rows(rng.integers(0, 2, (m, d)))
+            beta = x.T @ (2 * rng.integers(0, 2, m) - 1)
+            largest = max(
+                signs
+                for signs in itertools.product((1, -1), repeat=m)
+                if np.array_equal(x.T @ np.array(signs), beta)
+            )
+            assert tuple(recover_labels(x, beta)) == largest
 
     def test_deep_search_has_no_recursion_ceiling(self):
         # 1500 rows is deeper than Python's recursion limit. With every label
