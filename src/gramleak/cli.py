@@ -8,6 +8,7 @@ are the only thing that varies between identical runs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import statistics
@@ -264,11 +265,11 @@ def _integral_system(doc: dict) -> tuple[np.ndarray, np.ndarray]:
 
 @main.command("reconstruct")
 @click.argument("report", type=click.Path(exists=True))
-@click.option("--m", "batch_size", type=int, default=None,
+@click.option("--m", "batch_size", type=click.IntRange(min=1), default=None,
               help="Known victim batch size.")
 @click.option("--discover", is_flag=True, default=False,
               help="Scan batch sizes upward from the diagonal maximum.")
-@click.option("--max-m", type=int, default=64, show_default=True,
+@click.option("--max-m", type=click.IntRange(min=1), default=64, show_default=True,
               help="Cap for --discover.")
 @click.option("--limit", type=int, default=2, show_default=True,
               help="Stop after this many solutions (0 = exhaustive).")
@@ -331,13 +332,7 @@ def cmd_reconstruct(report, batch_size, discover, max_m, limit, deadline,
         "x": [[int(v) for v in row] for row in first.x],
         "y": [int(v) for v in labels],
         "stats": {
-            "nodes_explored": stats.nodes_explored,
-            "solutions_found": stats.solutions_found,
-            "wall_time": stats.wall_time,
-            "status": stats.status,
-            "exhausted": stats.exhausted,
-            "column_order": list(stats.column_order),
-            "nodes_per_column": list(stats.nodes_per_column),
+            **dataclasses.asdict(stats),
             "constraints": model.constraint_count,
             "constraints_ordered": model.ordered_constraint_count,
         },

@@ -12,7 +12,8 @@ actual matrices with a specialized depth-first search: columns are placed one
 at a time, and because rows of a candidate matrix may be permuted freely,
 rows are only distinguished by the pattern of already-placed columns. The
 search therefore branches on how many rows of each pattern group receive a 1
-in the new column, which enforces every column-sum and co-occurrence count
+in the new column, bounded by the ones each count still needs and the rows
+left to take them. This enforces every column-sum and co-occurrence count
 exactly as it goes and yields each row multiset exactly once (canonical,
 permutation-free enumeration). Columns are placed fail-first: once per
 solve, ``_column_order`` puts the most constrained columns first, and the
@@ -229,12 +230,12 @@ class _Search:
     bits agree. Placing column c means picking, per group, how many of its
     rows get a 1; the diagonal fixes the total and each earlier column l
     fixes the count landing in groups with bit l set. Group counts are
-    branched depth-first (larger counts first) with reach/excess pruning
-    against every open count, so each leaf satisfies all placed constraints
-    exactly and distinct leaves are distinct row multisets. Columns and
-    groups are walked with explicit stacks, so the depth of the search is not
-    bounded by Python's recursion limit. ``column_nodes[c]`` counts the nodes
-    spent placing column c.
+    branched depth-first (larger counts first), each within what its open
+    counts still need and the rows left to take it, so each leaf satisfies
+    all placed constraints exactly and distinct leaves are distinct row
+    multisets. Columns and groups are walked with explicit stacks, so the
+    depth of the search is not bounded by Python's recursion limit.
+    ``column_nodes[c]`` counts the nodes spent placing column c.
     """
 
     def __init__(
@@ -281,31 +282,29 @@ class _Search:
     ) -> Iterator[list[tuple[int, int]]]:
         """Yield the row groups left by each complete split of column ``col``.
 
-        ``row`` is the column's Gram row: ``row[l]`` of the rows with bit l
-        set get a 1, for each placed column ``l < col``, and ``row[col]`` in all.
-        A node decides one group's count; ``stack`` holds one frame per
-        decided group: [group, rows placed before it, count, lowest count].
+        ``row`` is the column's Gram row: count ``l < col`` puts ``row[l]``
+        ones in rows with bit l set, and count ``col``, in which every group
+        takes part, puts ``row[col]`` in all. ``need[l]`` is the ones still
+        to place and ``room[l]`` the rows of undecided groups taking part. A
+        node bounds one group's count over its own counts only; ``stack``
+        holds [group, count, lowest count] per decided group. The caller
+        guarantees ``0 <= row[l] <= room[l]`` at the start (the screen, or
+        ``enumerate_labels``' check of c); each decision keeps
+        ``0 <= need <= room``, so counts a group takes no part in need no
+        check there.
         """
         n_groups = len(groups)
         sizes = [s for s, _ in groups]
         patterns = [p for _, p in groups]
-        bits = [[l for l in range(col) if p & (1 << l)] for p in patterns]
-        total_target = row[col]
-        targets = row[:col]
-        suffix_total = [0] * (n_groups + 1)
-        for g in range(n_groups - 1, -1, -1):
-            suffix_total[g] = suffix_total[g + 1] + sizes[g]
-        suffixes = []
-        for l in range(col):
-            bit = 1 << l
-            arr = [0] * (n_groups + 1)
-            for g in range(n_groups - 1, -1, -1):
-                arr[g] = arr[g + 1] + (sizes[g] if patterns[g] & bit else 0)
-            suffixes.append(arr)
-        partial = [0] * col
         new_bit = 1 << col
+        bits = [[l for l in range(col) if p >> l & 1] + [col] for p in patterns]
+        need = row[:col + 1]
+        room = [0] * (col + 1)
+        for size, own in zip(sizes, bits):
+            for l in own:
+                room[l] += size
         stack: list[list[int]] = []
-        g = placed = 0
+        g = 0
         while True:
             self.nodes += 1
             # The clock is read at the first node, so a zero deadline stops
@@ -316,44 +315,40 @@ class _Search:
                 return
             if g == n_groups:
                 new_groups = []
-                for h, _, t, _ in stack:
+                for h, t, _ in stack:
                     if t > 0:
                         new_groups.append((t, patterns[h] | new_bit))
                     if t < sizes[h]:
                         new_groups.append((sizes[h] - t, patterns[h]))
                 yield new_groups
             else:
-                pattern = patterns[g]
-                lo = max(total_target - placed - suffix_total[g + 1], 0)
-                hi = min(total_target - placed, sizes[g])
-                for l in range(col):
-                    need = targets[l] - partial[l]
-                    cap_after = suffixes[l][g + 1]
-                    if pattern & (1 << l):
-                        if need - cap_after > lo:
-                            lo = need - cap_after
-                        if need < hi:
-                            hi = need
-                    elif need < 0 or need > cap_after:
-                        hi = -1  # no count fits: prune
-                        break
+                size = sizes[g]
+                lo, hi = 0, size
+                for l in bits[g]:
+                    if need[l] - room[l] + size > lo:
+                        lo = need[l] - room[l] + size
+                    if need[l] < hi:
+                        hi = need[l]
                 if lo <= hi:
-                    stack.append([g, placed, hi, lo])
+                    stack.append([g, hi, lo])
                     for l in bits[g]:
-                        partial[l] += hi
-                    g, placed = g + 1, placed + hi
+                        need[l] -= hi
+                        room[l] -= size
+                    g += 1
                     continue
             # Backtrack: the deepest group with a smaller count left takes it.
             while stack:
-                h, before, t, low = frame = stack[-1]
+                h, t, low = frame = stack[-1]
                 if t > low:
-                    frame[2] = t - 1
+                    frame[1] = t - 1
                     for l in bits[h]:
-                        partial[l] -= 1
-                    g, placed = h + 1, before + t - 1
+                        need[l] += 1
+                    g = h + 1
                     break
+                size = sizes[h]
                 for l in bits[h]:
-                    partial[l] -= t
+                    need[l] += t
+                    room[l] += size
                 stack.pop()
             else:
                 return
@@ -449,6 +444,8 @@ def enumerate_labels(
     split fixes how many rows of each group are +1; every choice of them is
     a labeling, earliest rows first.
     """
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be at least 1 when given")
     xi = _as_binary_matrix(numkit.as_matrix(x))
     beta_i = np.asarray(beta)
     beta_i = numkit.round_integral(beta_i.astype(float), tol=1e-9)

@@ -295,6 +295,19 @@ class TestReconstructCommand:
         assert flag in result.output
         assert not solution.exists()
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--m", "0"], "--m"),
+        (["--m", "-3"], "--m"),
+        (["--discover", "--max-m", "0"], "--max-m"),
+    ], ids=["m_zero", "m_negative", "max_m_zero"])
+    def test_bad_batch_size_is_a_usage_error(self, runner, tmp_path, args, flag):
+        report, _ = self.make_report(runner, tmp_path, m=2, d=3, seed=9)
+        solution = tmp_path / "s.json"
+        result = runner.invoke(main, ["reconstruct", str(report), *args, "--out", str(solution)])
+        assert result.exit_code == cli.EXIT_USAGE
+        assert flag in result.output
+        assert not solution.exists()
+
     def test_gamma_report_rejected(self, runner, tmp_path):
         transcript = tmp_path / "t.json"
         report = tmp_path / "r.json"

@@ -306,7 +306,8 @@ def walk_digest(batches):
 # infeasible. IDENTITY_ORDER_WALKS were recorded with the earlier recursive
 # search, whose columns went in input order: the search itself must not
 # change. GOLDEN_SEARCHES are what ``solve`` walks in fail-first column order;
-# seed 87 at 16x30 took 497 918 nodes in input order.
+# seed 87 at 16x30 took 497 918 nodes in input order. Seeds 88 and 89 are wide
+# cells: each split there meets the counts of up to 199 placed columns.
 IDENTITY_ORDER_WALKS = [
     ((70, 3, 3, 5, None), (17, "unique", True, "5a225fc940af52a2")),
     ((71, 5, 5, 10, None), (53, "unique", True, "1e26187773e6b065")),
@@ -320,6 +321,8 @@ IDENTITY_ORDER_WALKS = [
     ((79, 11, 11, 20, 2), (8885, "unique", True, "0f5c69fc1427b9b3")),
     ((80, 11, 11, 15, None), (750, "unique", True, "2b10756ae5c784f7")),
     ((86, 6, 5, 8, None), (27, "infeasible", True, "4f53cda18c2baa0c")),
+    ((88, 3, 3, 100, 2), (395, "unique", True, "9ce962a375af7d9d")),
+    ((89, 4, 4, 200, 2), (994, "unique", True, "ae0bd281949a39fe")),
 ]
 GOLDEN_SEARCHES = [
     ((70, 3, 3, 5, None), (16, "unique", True, "5a225fc940af52a2")),
@@ -335,6 +338,8 @@ GOLDEN_SEARCHES = [
     ((80, 11, 11, 15, None), (323, "unique", True, "2b10756ae5c784f7")),
     ((86, 6, 5, 8, None), (7, "infeasible", True, "4f53cda18c2baa0c")),
     ((87, 16, 16, 30, None), (4599, "unique", True, "bfe52dc7e2c2af03")),
+    ((88, 3, 3, 100, 2), (331, "unique", True, "9ce962a375af7d9d")),
+    ((89, 4, 4, 200, 2), (842, "unique", True, "ae0bd281949a39fe")),
 ]
 
 
@@ -497,6 +502,12 @@ class TestRecoverLabels:
                 if np.array_equal(x.T @ np.array(signs), beta)
             )
             assert tuple(recover_labels(x, beta)) == largest
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_bad_limit_rejected(self, limit):
+        x = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.int64)
+        with pytest.raises(ValueError, match="limit"):
+            enumerate_labels(x, x.T @ np.array([1, -1, 1]), limit=limit)
 
     def test_deep_search_has_no_recursion_ceiling(self):
         # 1500 rows is deeper than Python's recursion limit. With every label
