@@ -3,10 +3,11 @@
 Synchronized rounds expose the victim push as an affine function of the model
 point, ``delta = lr * (alpha @ theta / 4 - beta / 2)`` with ``alpha = X'X``
 and ``beta = X'Y``, so stacking enough observations and solving row by row
-recovers (alpha, beta) exactly after integer validation. Asynchronized rounds
-expose the analogous affine pair (gamma, eta) of the sequential multi-batch
-pass, which this module can also evaluate in closed form and probe for its
-solution-manifold dimension.
+recovers (alpha, beta) exactly after integer validation and a check that the
+rounded system fits every push. Asynchronized rounds expose the analogous
+affine pair (gamma, eta) of the sequential multi-batch pass, which this module
+can also evaluate in closed form and probe for its solution-manifold
+dimension.
 """
 
 from __future__ import annotations
@@ -79,9 +80,11 @@ def recover_alpha_beta(
 
     Each output component obeys one linear equation in d+1 unknowns (a Gram
     row plus one beta entry), so at least d+1 observations with model points
-    in general position are required. Symmetry is checked before rounding and
-    every recovered entry must round cleanly to an integer; failures mean the
-    transcript did not come from a fixed-batch synchronized binary run.
+    in general position are required. Symmetry is checked before rounding,
+    every recovered entry must round cleanly to an integer, and the rounded
+    system must reproduce every push within ``tol`` relative to the push
+    magnitude, as in :func:`recover_gamma_eta`; failures mean the transcript
+    did not come from a fixed-batch synchronized binary run.
     """
     thetas, deltas = _stack_observations(observations)
     n_obs, d = thetas.shape
@@ -109,6 +112,12 @@ def recover_alpha_beta(
     integrality = float(np.max(np.abs(solved - np.rint(solved))))
     fit = learning_rate * (0.25 * thetas @ alpha - 0.5 * beta)
     residual = float(np.max(np.abs(fit - deltas)))
+    push_scale = max(1.0, float(np.max(np.abs(deltas))))
+    if residual > tol * push_scale:
+        raise ResidualTooLarge(
+            f"fit residual {residual:.3e} of the rounded system exceeds {tol * push_scale:.3e}; "
+            "an observation outside the pivot rows disagrees with the others"
+        )
     return RecoveredSystem(alpha, beta, integrality, residual)
 
 

@@ -4,7 +4,10 @@ Matrices are plain 2-D float64 numpy arrays and vectors are 1-D arrays; numpy
 supplies storage and products. Solve and rank share one hand-rolled Gaussian
 elimination with partial pivoting, so that rank deficiency, integrality and
 non-finite input surface as typed errors carrying the diagnostics the recovery
-pipeline needs. Everything here is a pure function over its inputs.
+pipeline needs. Solve then back-substitutes every right-hand side at once,
+column by column with elementwise updates, so a block solve gives each column
+bitwise what a solve for that column alone gives. Everything here is a pure
+function over its inputs.
 """
 
 from __future__ import annotations
@@ -95,7 +98,9 @@ def solve_linear(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_PIVOT_TOL) -
     """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
 
     ``b`` is one right-hand side or a matrix of them, one per column, and ``x``
-    has its shape; ``[a | b]`` is eliminated once. ``a`` may have more rows
+    has its shape; ``[a | b]`` is eliminated once and one back substitution
+    solves for all columns of ``b`` together, each column of ``x`` bitwise
+    equal to a solve for its column of ``b`` alone. ``a`` may have more rows
     than columns. ``x`` satisfies the pivot equations exactly, so callers that
     care about inconsistency inspect the residual ``a @ x - b`` themselves. A
     pivot below ``tol`` times the largest entry of ``a`` raises
@@ -112,13 +117,18 @@ def solve_linear(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_PIVOT_TOL) -
     r = _eliminate(aug, cols, tol)
     if r < cols:
         raise RankDeficient(f"rank {r} below {cols} unknowns (tol {tol:.1e})", rank=r)
-    # One right-hand side at a time, with a single solve's dot product, so each
-    # column of the result is bitwise what solving for it alone gives.
-    out = np.empty((aug.shape[1] - cols, cols))
-    for j, x in enumerate(out):
-        for c in range(cols - 1, -1, -1):
-            x[c] = (aug[c, cols + j] - aug[c, c + 1 : cols] @ x[c + 1 : cols]) / aug[c, c]
-    return out[0] if b.ndim == 1 else out.T
+    # Column-oriented back substitution over the whole block of right-hand
+    # sides (Golub and Van Loan, Matrix Computations, 3.1): once x[c] is known,
+    # its multiple of column c of the triangle leaves the rows above it. Every
+    # step is elementwise, never a dot product, so each column of the result
+    # is bitwise what solving for it alone gives.
+    u = aug[:cols, :cols]
+    r = aug[:cols, cols:]
+    x = np.empty_like(r)
+    for c in range(cols - 1, -1, -1):
+        x[c] = r[c] / u[c, c]
+        r[:c] -= np.multiply.outer(u[:c, c], x[c])
+    return x[:, 0] if b.ndim == 1 else x
 
 
 def rank(m: np.ndarray, tol: float = DEFAULT_PIVOT_TOL) -> int:

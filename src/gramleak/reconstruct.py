@@ -226,14 +226,16 @@ class _Search:
 
     Columns are placed in the order of alpha's rows; ``solve`` hands over a
     Gram matrix already permuted into ``_column_order``. State is a list of
-    (size, pattern) row groups, a group being the rows whose already-placed
-    bits agree. Placing column c means picking, per group, how many of its
-    rows get a 1; the diagonal fixes the total and each earlier column l
-    fixes the count landing in groups with bit l set. Group counts are
-    branched depth-first (larger counts first), each within what its open
-    counts still need and the rows left to take it, so each leaf satisfies
-    all placed constraints exactly and distinct leaves are distinct row
-    multisets. Columns and groups are walked with explicit stacks, so the
+    (size, pattern, bits) row groups, a group being the rows whose
+    already-placed bits agree and ``bits`` the placed columns set in its
+    pattern; a split hands each group's list to its children unchanged or
+    with the new column appended. Placing column c means picking, per group,
+    how many of its rows get a 1; the diagonal fixes the total and each
+    earlier column l fixes the count landing in groups with bit l set. Group
+    counts are branched depth-first (larger counts first), each within what
+    its open counts still need and the rows left to take it, so each leaf
+    satisfies all placed constraints exactly and distinct leaves are distinct
+    row multisets. Columns and groups are walked with explicit stacks, so the
     depth of the search is not bounded by Python's recursion limit.
     ``column_nodes[c]`` counts the nodes spent placing column c.
     """
@@ -254,7 +256,7 @@ class _Search:
     def run(self) -> None:
         # One split generator per placed column; the deepest is resumed, and
         # none is resumed once the search stops, so no node counts after that.
-        walks = [self._splits(0, self.alpha[0], [(self.m, 0)])]
+        walks = [self._splits(0, self.alpha[0], [(self.m, 0, [])])]
         column_nodes = self.column_nodes
         while walks and not self.stopped:
             col = len(walks) - 1
@@ -268,9 +270,9 @@ class _Search:
             else:
                 walks.append(self._splits(col + 1, self.alpha[col + 1], groups))
 
-    def _record(self, groups: list[tuple[int, int]]) -> None:
+    def _record(self, groups: list[tuple[int, int, list[int]]]) -> None:
         rows = []
-        for size, pattern in groups:
+        for size, pattern, _ in groups:
             row = tuple((pattern >> j) & 1 for j in range(self.d))
             rows.extend([row] * size)
         self.solutions.append(tuple(sorted(rows)))
@@ -278,8 +280,8 @@ class _Search:
             self.stopped = True
 
     def _splits(
-        self, col: int, row: list[int], groups: list[tuple[int, int]]
-    ) -> Iterator[list[tuple[int, int]]]:
+        self, col: int, row: list[int], groups: list[tuple[int, int, list[int]]]
+    ) -> Iterator[list[tuple[int, int, list[int]]]]:
         """Yield the row groups left by each complete split of column ``col``.
 
         ``row`` is the column's Gram row: count ``l < col`` puts ``row[l]``
@@ -294,10 +296,11 @@ class _Search:
         check there.
         """
         n_groups = len(groups)
-        sizes = [s for s, _ in groups]
-        patterns = [p for _, p in groups]
+        sizes = [s for s, _, _ in groups]
+        patterns = [p for _, p, _ in groups]
+        owns = [own for _, _, own in groups]
         new_bit = 1 << col
-        bits = [[l for l in range(col) if p >> l & 1] + [col] for p in patterns]
+        bits = [own + [col] for own in owns]
         need = row[:col + 1]
         room = [0] * (col + 1)
         for size, own in zip(sizes, bits):
@@ -317,9 +320,9 @@ class _Search:
                 new_groups = []
                 for h, t, _ in stack:
                     if t > 0:
-                        new_groups.append((t, patterns[h] | new_bit))
+                        new_groups.append((t, patterns[h] | new_bit, bits[h]))
                     if t < sizes[h]:
-                        new_groups.append((sizes[h] - t, patterns[h]))
+                        new_groups.append((sizes[h] - t, patterns[h], owns[h]))
                 yield new_groups
             else:
                 size = sizes[g]
@@ -463,12 +466,14 @@ def enumerate_labels(
         members.setdefault(sum(bit << j for j, bit in enumerate(row)), []).append(k)
     # Only the splitter is used. The slack's pattern sets a bit past the
     # label column, so no group of X rows shares it.
-    groups = [(len(rows), p) for p, rows in members.items()] + [(m, 2 << d)]
+    groups = [
+        (len(rows), p, [j for j in range(d) if p >> j & 1]) for p, rows in members.items()
+    ] + [(m, 2 << d, [])]
     splits = _Search([], m, None, None)._splits(d, (twice // 2).tolist() + [m], groups)
     rows = list(members.values())
     found: list[np.ndarray] = []
     for split in splits:
-        plus = {p: t for t, p in split if p >> d == 1}  # +1 rows per group pattern
+        plus = {p: t for t, p, _ in split if p >> d == 1}  # +1 rows per group pattern
         for y in _sign_vectors(m, rows, [plus.get(p | 1 << d, 0) for p in members]):
             found.append(y)
             if limit is not None and len(found) >= limit:

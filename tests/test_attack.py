@@ -95,6 +95,33 @@ class TestRecoverAlphaBeta:
         with pytest.raises(attack.AsymmetryDetected):
             attack.recover_alpha_beta(observations, 0.1)
 
+    def test_corrupted_push_never_passes(self):
+        # One push off by 0.37 in one entry. In a pivot row it skews the solved
+        # rows (asymmetry); in the two rows past the d + 1 pivots only the fit
+        # of the rounded system can show it.
+        rng = np.random.default_rng(37)
+        transcript, _ = synchronized_transcript(rng, 5, 10, rounds=13, seed=3)
+        raised = []
+        for k in range(13):
+            observations = list(transcript.observations)
+            delta = observations[k].delta.copy()
+            delta[0] += 0.37
+            observations[k] = Observation(theta=observations[k].theta, delta=delta)
+            with pytest.raises((attack.AsymmetryDetected, attack.ResidualTooLarge)) as info:
+                attack.recover_alpha_beta(observations, 0.1)
+            raised.append(info.type)
+        assert raised.count(attack.ResidualTooLarge) == 2
+
+    @pytest.mark.parametrize("m,d,seed", [(3, 100, 60), (8, 120, 61), (6, 140, 62), (4, 200, 63)])
+    def test_wide_recovery_is_exact(self, m, d, seed):
+        rng = np.random.default_rng(seed)
+        transcript, victims = synchronized_transcript(rng, m, d, rounds=d + 3, seed=seed)
+        system = attack.recover_alpha_beta(list(transcript.observations), 0.1)
+        alpha, beta = int_gram(victims[0])
+        assert np.array_equal(system.alpha, alpha)
+        assert np.array_equal(system.beta, beta)
+        assert system.max_integrality_residual < 1e-9
+
     def test_recovered_alpha_is_psd_with_bounded_diagonal(self):
         rng = np.random.default_rng(26)
         for trial in range(10):
@@ -165,6 +192,22 @@ class TestRecoverGammaEta:
         expected_gamma = np.eye(5) - factors[1] @ factors[0]
         assert np.max(np.abs(params.gamma - expected_gamma)) < 1e-8
         assert 0.0 <= params.max_fit_residual < 1e-10
+
+    def test_wide_two_batch_pass_matches_closed_form(self):
+        rng = np.random.default_rng(64)
+        batches = [fedsim.random_batch(rng, 4, 100) for _ in range(2)]
+        attacker = fedsim.random_batch(rng, 4, 100)
+        lr = 0.1
+        config = TrainingConfig(
+            learning_rate=lr, mode=fedsim.ASYNCHRONIZED, rounds=103, seed=8
+        )
+        transcript = fedsim.run_training(batches, attacker, config)
+        params = attack.recover_gamma_eta(list(transcript.observations), lr)
+        expected = attack.closed_form_params(
+            [b.x.T @ b.x for b in batches], [b.x.T @ b.y for b in batches], lr
+        )
+        for got, want in ((params.gamma, expected.gamma), (params.eta, expected.eta)):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_single_batch_gives_scaled_gram(self):
         rng = np.random.default_rng(35)

@@ -129,6 +129,23 @@ class TestAttackCommand:
         assert result.exit_code == cli.EXIT_RESIDUAL
         assert "ResidualTooLarge" in result.output
 
+    @pytest.mark.parametrize("observation", [1, 9])
+    def test_corrupted_push_past_the_pivots_reports_residual(
+        self, runner, tmp_path, observation
+    ):
+        # Observations 1 and 9 are the two rows the elimination does not pivot on.
+        transcript = tmp_path / "t.json"
+        run_ok(runner, [
+            "simulate", "--m", "5", "--d", "10", "--rounds", "13",
+            "--seed", "3", "--out", str(transcript),
+        ])
+        doc = json.loads(transcript.read_text())
+        doc["observations"][observation]["delta"][0] += 0.37
+        transcript.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["attack", str(transcript)])
+        assert result.exit_code == cli.EXIT_RESIDUAL
+        assert "ResidualTooLarge" in result.output
+
     def test_asynchronized_report_kind(self, runner, tmp_path):
         transcript = tmp_path / "t.json"
         report = tmp_path / "r.json"

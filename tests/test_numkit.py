@@ -4,15 +4,34 @@ import pytest
 from gramleak import numkit
 
 
-def reference_solve(a, b):
-    """One right-hand side by textbook elimination with partial pivoting."""
-    rows, cols = a.shape
+def _reference_eliminate(a, b):
+    """Textbook elimination with partial pivoting of ``[a | b]``."""
+    cols = a.shape[1]
     aug = np.column_stack([a, b])
     for c in range(cols):
         p = c + int(np.argmax(np.abs(aug[c:, c])))
         aug[[c, p]] = aug[[p, c]]
         factors = aug[c + 1 :, c] / aug[c, c]
         aug[c + 1 :, c:] -= np.outer(factors, aug[c, c:])
+    return aug
+
+
+def reference_solve(a, b):
+    """One right-hand side, then column-oriented back substitution."""
+    cols = a.shape[1]
+    aug = _reference_eliminate(a, b)
+    r = aug[:cols, cols].copy()
+    x = np.empty(cols)
+    for c in range(cols - 1, -1, -1):
+        x[c] = r[c] / aug[c, c]
+        r[:c] -= aug[:c, c] * x[c]
+    return x
+
+
+def reference_solve_by_rows(a, b):
+    """One right-hand side, then row-oriented back substitution (dot products)."""
+    cols = a.shape[1]
+    aug = _reference_eliminate(a, b)
     x = np.empty(cols)
     for c in range(cols - 1, -1, -1):
         x[c] = (aug[c, cols] - aug[c, c + 1 : cols] @ x[c + 1 : cols]) / aug[c, c]
@@ -70,7 +89,7 @@ class TestSolveLinear:
             for j in range(rhs.shape[1]):
                 assert x[:, j].tobytes() == numkit.solve_linear(a, rhs[:, j]).tobytes()
 
-    @pytest.mark.parametrize("d", [1, 2, 5, 13, 30])
+    @pytest.mark.parametrize("d", [1, 2, 5, 13, 30, 120, 200])
     @pytest.mark.parametrize("sync", [True, False])
     def test_matrix_rhs_on_recovery_designs(self, d, sync):
         # The designs of attack.recover_alpha_beta and recover_gamma_eta,
@@ -82,10 +101,14 @@ class TestSolveLinear:
         design = np.column_stack([scale * thetas, np.full(d + 3, -0.5 * lr)])
         deltas = rng.normal(size=(d + 3, d))
         x = numkit.solve_linear(design, deltas)
-        for j in range(d):
+        # Eight spread columns keep the single solves of the wide designs cheap.
+        columns = range(d) if d <= 30 else np.linspace(0, d - 1, 8).astype(int)
+        for j in columns:
             single = numkit.solve_linear(design, deltas[:, j])
             assert x[:, j].tobytes() == single.tobytes()
             assert single.tobytes() == reference_solve(design, deltas[:, j]).tobytes()
+            by_rows = reference_solve_by_rows(design, deltas[:, j])
+            assert np.max(np.abs(single - by_rows)) <= 1e-12 * np.max(np.abs(by_rows))
 
     def test_matrix_rhs_rank_deficient_reports_rank(self):
         rng = np.random.default_rng(6)
