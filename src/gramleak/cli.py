@@ -86,6 +86,14 @@ def _pick_seed(flag, config: dict) -> int:
     return seed
 
 
+def _pick_count(flag, config: dict, key: str, default: int) -> int:
+    """``_pick`` of a count (``--trials``, ``--jobs``), which must be at least 1."""
+    count = _pick(flag, config, key, default, int)
+    if count < 1:
+        raise CliError(f"{key} must be at least 1, got {count}", EXIT_USAGE)
+    return count
+
+
 def _search_bounds(limit: int, deadline) -> tuple[int | None, float | None]:
     """Check --limit (0 = exhaustive) and --deadline (seconds) for a solve."""
     if limit < 0:
@@ -403,18 +411,16 @@ def cmd_table1(config_path, grid, trials, seed, limit, deadline, jobs, out, fmt)
     """Reconstruction-cost grid: per cell, median solve time and uniqueness."""
     cfg = _load_config(config_path)
     grid = _pick(grid, cfg, "grid", DEFAULT_GRID, str)
-    trials = _pick(trials, cfg, "trials", 3, int)
+    trials = _pick_count(trials, cfg, "trials", 3)
     seed = _pick_seed(seed, cfg)
     limit, deadline = _search_bounds(
         _pick(limit, cfg, "limit", 2, int), _pick(deadline, cfg, "deadline", None, float)
     )
-    jobs = _pick(jobs, cfg, "jobs", 1, int)
+    jobs = _pick_count(jobs, cfg, "jobs", 1)
     fmt = _pick(fmt, cfg, "format", "csv", str)
     if fmt not in ("csv", "json"):
         raise CliError(f"format must be csv or json, got {fmt!r}", EXIT_USAGE)
     out = _pick(out, cfg, "out", f"table1.{fmt}", str)
-    if trials < 1:
-        raise CliError("need at least one trial per cell", EXIT_USAGE)
     cells = _grid_cells(grid)
     tasks = [(m, d, seed, trials, limit, deadline) for m, d in cells]
     if jobs > 1:
@@ -454,7 +460,7 @@ def cmd_table1(config_path, grid, trials, seed, limit, deadline, jobs, out, fmt)
 def cmd_theorems(config_path, trials, seed, tol, out):
     """Numeric checks: closed-form pass equivalence and manifold nullity grid."""
     cfg = _load_config(config_path)
-    trials = _pick(trials, cfg, "trials", 100, int)
+    trials = _pick_count(trials, cfg, "trials", 100)
     seed = _pick_seed(seed, cfg)
     tol = _pick(tol, cfg, "tol", 1e-9, float)
     lambdas = (0.01, 0.1, 0.5)

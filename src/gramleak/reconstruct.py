@@ -15,10 +15,15 @@ search therefore branches on how many rows of each pattern group receive a 1
 in the new column, bounded by the ones each count still needs and the rows
 left to take them. This enforces every column-sum and co-occurrence count
 exactly as it goes and yields each row multiset exactly once (canonical,
-permutation-free enumeration). Columns are placed fail-first: once per
-solve, ``_column_order`` puts the most constrained columns first, and the
-solutions are mapped back to the input column order, canonicalized and
-sorted, so exhaustive output does not depend on the order of the walk.
+permutation-free enumeration). Before the search, ``_fold`` sets aside every
+column that alpha already fixes as a copy or the complement of an earlier
+column (an equal Gram row, or a complementary one whose two columns cover
+all m rows). On the Gram matrix of any batch the search then walks at most
+min(d, 2^(m-1)) class representatives, so its cost follows the column
+classes, not d. Columns are placed fail-first: once per solve,
+``_column_order`` puts the most constrained representatives first, and the
+solutions are expanded to every input column in input order, canonicalized
+and sorted, so exhaustive output does not depend on the order of the walk.
 
 Labels complete the picture: with ``z = (y + 1) / 2`` a sign labeling y is
 one more 0/1 column of the batch, whose co-occurrence counts with X are
@@ -224,8 +229,9 @@ def _column_order(alpha: list[list[int]], m: int) -> list[int]:
 class _Search:
     """Column-by-column enumeration of row multisets matching alpha.
 
-    Columns are placed in the order of alpha's rows; ``solve`` hands over a
-    Gram matrix already permuted into ``_column_order``. State is a list of
+    Columns are placed in the order of alpha's rows; ``solve`` hands over the
+    Gram matrix of the class representatives, already permuted into
+    ``_column_order``. State is a list of
     (size, pattern, bits) row groups, a group being the rows whose
     already-placed bits agree and ``bits`` the placed columns set in its
     pattern; a split hands each group's list to its children unchanged or
@@ -366,6 +372,52 @@ def _search_status(found: int, exhausted: bool) -> str:
     return STATUS_INFEASIBLE if exhausted else STATUS_LIMIT
 
 
+def _fold(alpha: np.ndarray, m: int) -> tuple[list[int], list[int], list[int]]:
+    """Split the columns of a screened Gram matrix into classes fixed by one column.
+
+    Column j folds onto an earlier representative i when the Gram matrix
+    fixes it in every 0/1 solution: an equal row (``a_ii = a_ij = a_jj``, so
+    column j equals column i), or a complementary one, ``alpha[j] =
+    diag(alpha) - alpha[i]`` with ``a_ii + a_jj = m`` (``a_ij = 0``, so the
+    two columns are disjoint and cover every row: column j is
+    ``1 - column i``). Either row equality also fixes every other count of
+    column j, so the solutions of the representatives' Gram matrix map one to
+    one onto the full solutions. Rows are compared as bytes. A column that
+    meets a premise with a different row is kept: no batch has such a Gram
+    matrix, and the screen (a copy's alpha is then not positive
+    semidefinite) or the search refutes it.
+    Returns the representatives in input order, and per input column its
+    class (an index into them) and whether it is the complement.
+    """
+    d = alpha.shape[0]
+    # The screen keeps every count, and so every complementary count
+    # a_ll - a_jl, in [0, m]: the narrowest type that holds m keys them exactly.
+    key = np.min_scalar_type(m)
+    width = d * key.itemsize
+    diag = alpha.diagonal()
+    rows = alpha.astype(key).tobytes()
+    complements = (diag - alpha).astype(key).tobytes()
+    diag = diag.tolist()
+    classes: dict[bytes, int] = {}  # Gram row of a representative -> its class
+    reps: list[int] = []
+    cls: list[int] = []
+    flip: list[int] = []
+    for j, at in enumerate(range(0, d * width, width)):
+        row = rows[at:at + width]
+        c = classes.get(row)
+        if c is None:
+            c = classes.get(complements[at:at + width])
+            if c is not None and diag[reps[c]] + diag[j] == m:
+                cls.append(c)
+                flip.append(1)
+                continue
+            c = classes[row] = len(reps)
+            reps.append(j)
+        cls.append(c)
+        flip.append(0)
+    return reps, cls, flip
+
+
 def solve(
     model: IlpModel,
     limit: int | None = None,
@@ -377,36 +429,52 @@ def solve(
     otherwise exhausts the search. Status reads ``unique``/``multiple`` only
     from what was actually established: ``unique`` requires exhaustion, and
     an interrupted search with fewer than two solutions reports
-    ``limit_reached`` (check ``exhausted`` to distinguish). Solutions are in
-    canonical form and sorted, so an exhaustive result does not depend on
-    the column order the search walked; which solutions an interrupted
-    search returns does.
+    ``limit_reached`` (check ``exhausted`` to distinguish). Columns that the
+    Gram matrix fixes as copies or complements of an earlier column are
+    folded out first (``_fold``): only the k class representatives are
+    ordered and searched, and each solution is expanded back to all d
+    columns. Solutions are in canonical form and sorted, so an exhaustive
+    result does not depend on the column order the search walked; which
+    solutions an interrupted search returns does. ``column_order`` lists
+    every input column, each folded one right after its representative with
+    0 in ``nodes_per_column``.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1 when given")
     if deadline is not None and not deadline >= 0:
         raise ValueError("deadline must be a non-negative number of seconds when given")
     start = time.perf_counter()
-    alpha = model.alpha.tolist()
-    order = _column_order(alpha, model.m)
-    permuted = [[row[j] for j in order] for row in (alpha[i] for i in order)]
-    search = _Search(permuted, model.m, limit, None if deadline is None else start + deadline)
+    m = model.m
+    reps, cls, flip = _fold(model.alpha, m)
+    reduced = model.alpha.take(reps, 0).take(reps, 1)
+    order = _column_order(reduced.tolist(), m)
+    permuted = reduced.take(order, 0).take(order, 1).tolist()
+    search = _Search(permuted, m, limit, None if deadline is None else start + deadline)
     search.run()
-    # Column j of the walk is input column order[j]; read each row back in input order.
-    position = sorted(range(model.d), key=order.__getitem__)
-    batches = sorted(
-        sorted(tuple(row[j] for j in position) for row in rows) for rows in search.solutions
-    )
+    # Walk column p is class order[p]; input column j reads the walk column
+    # of its class, complemented where it folded as one.
+    position = [0] * len(order)
+    for p, c in enumerate(order):
+        position[c] = p
+    source = [position[c] for c in cls]
+    found = np.array(search.solutions, dtype=np.int64).reshape(-1, m, len(order))
+    full = found[:, :, source] ^ np.array(flip, dtype=np.int64)
+    batches = sorted(sorted(map(tuple, rows)) for rows in full.tolist())
     wall = time.perf_counter() - start
     solutions = [Solution(x=np.array(rows, dtype=np.int64)) for rows in batches]
+    # A representative is the first column of its class, so it leads.
+    column_order = sorted(range(model.d), key=lambda j: (source[j], j))
+    nodes_per_column = [
+        search.column_nodes[source[j]] if reps[cls[j]] == j else 0 for j in column_order
+    ]
     stats = SolverStats(
         nodes_explored=search.nodes,
         solutions_found=len(solutions),
         wall_time=wall,
         status=_search_status(len(solutions), not search.stopped),
         exhausted=not search.stopped,
-        column_order=tuple(order),
-        nodes_per_column=tuple(search.column_nodes),
+        column_order=tuple(column_order),
+        nodes_per_column=tuple(nodes_per_column),
     )
     return solutions, stats
 
@@ -504,7 +572,11 @@ def _sign_vectors(m: int, rows: list[list[int]], counts: list[int]) -> Iterator[
 def verify_solution(
     x: np.ndarray, y: np.ndarray | None, system: RecoveredSystem
 ) -> CheckResult:
-    """Exact integer check of ``X'X == alpha`` and, when labels given, ``X'y == beta``."""
+    """Exact integer check of ``X'X == alpha`` and, when labels given, ``X'y == beta``.
+
+    Labels must be m values, each exactly -1 or +1; anything else fails the
+    check rather than being cast.
+    """
     xi = _as_binary_matrix(x)
     gram = xi.T @ xi
     if gram.shape != system.alpha.shape:
@@ -517,10 +589,12 @@ def verify_solution(
             f"alpha[{i},{j}]: expected {int(system.alpha[i, j])}, got {int(gram[i, j])}",
         )
     if y is not None:
-        yi = np.asarray(y).astype(np.int64)
-        if not np.all(np.abs(yi) == 1):
+        ya = np.asarray(y)
+        if ya.shape != (xi.shape[0],):
+            return CheckResult(False, f"labels shape {ya.shape} != ({xi.shape[0]},)")
+        if not np.all((ya == 1) | (ya == -1)):
             return CheckResult(False, "labels must be -1 or +1")
-        proj = xi.T @ yi
+        proj = xi.T @ ya.astype(np.int64)
         mismatch = np.argwhere(proj != system.beta)
         if mismatch.size:
             i = int(mismatch[0][0])

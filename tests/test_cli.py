@@ -467,3 +467,26 @@ def test_rank_correlation_helper():
     assert cli.rank_correlation([1, 2, 3, 4], [2, 4, 6, 8]) == pytest.approx(1.0)
     assert cli.rank_correlation([1, 2, 3, 4], [8, 6, 4, 2]) == pytest.approx(-1.0)
     assert abs(cli.rank_correlation([1, 1, 1], [1, 2, 3])) == 0.0
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value", [
+    ("table1", "jobs", 0),
+    ("table1", "jobs", -2),
+    ("table1", "trials", 0),
+    ("theorems", "trials", 0),
+    ("theorems", "trials", -1),
+])
+def test_count_below_one_is_a_usage_error(runner, tmp_path, source, command, key, value):
+    out = tmp_path / "out.json"
+    args = [command, "--out", str(out)] + (["--grid", "3x5"] if command == "table1" else [])
+    if source == "flag":
+        args += [f"--{key}", str(value)]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        args += ["--config", str(path)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == cli.EXIT_USAGE, result.output
+    assert f"{key} must be at least 1" in result.output
+    assert not out.exists()

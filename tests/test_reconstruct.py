@@ -325,21 +325,21 @@ IDENTITY_ORDER_WALKS = [
     ((89, 4, 4, 200, 2), (994, "unique", True, "ae0bd281949a39fe")),
 ]
 GOLDEN_SEARCHES = [
-    ((70, 3, 3, 5, None), (16, "unique", True, "5a225fc940af52a2")),
-    ((71, 5, 5, 10, None), (47, "unique", True, "1e26187773e6b065")),
-    ((72, 5, 5, 10, 1), (46, "limit_reached", False, "572457da3a214a64")),
+    ((70, 3, 3, 5, None), (13, "unique", True, "5a225fc940af52a2")),
+    ((71, 5, 5, 10, None), (34, "unique", True, "1e26187773e6b065")),
+    ((72, 5, 5, 10, 1), (23, "limit_reached", False, "572457da3a214a64")),
     ((73, 8, 8, 5, None), (47, "multiple", True, "6be5cc16cb9d004a")),
     ((74, 8, 8, 10, 2), (104, "unique", True, "f39c39879666b97a")),
     ((75, 9, 9, 5, 2), (41, "multiple", False, "a808a8048dfc0b65")),
-    ((76, 9, 9, 15, 2), (153, "unique", True, "a356dec4559ce052")),
+    ((76, 9, 9, 15, 2), (144, "unique", True, "a356dec4559ce052")),
     ((77, 11, 11, 5, None), (34, "multiple", True, "4b2fb2e85049baed")),
     ((78, 11, 11, 10, 1), (153, "limit_reached", False, "07c36e6b7819d3bd")),
-    ((79, 11, 11, 20, 2), (477, "unique", True, "0f5c69fc1427b9b3")),
+    ((79, 11, 11, 20, 2), (461, "unique", True, "0f5c69fc1427b9b3")),
     ((80, 11, 11, 15, None), (323, "unique", True, "2b10756ae5c784f7")),
     ((86, 6, 5, 8, None), (7, "infeasible", True, "4f53cda18c2baa0c")),
     ((87, 16, 16, 30, None), (4599, "unique", True, "bfe52dc7e2c2af03")),
-    ((88, 3, 3, 100, 2), (331, "unique", True, "9ce962a375af7d9d")),
-    ((89, 4, 4, 200, 2), (842, "unique", True, "ae0bd281949a39fe")),
+    ((88, 3, 3, 100, 2), (11, "unique", True, "9ce962a375af7d9d")),
+    ((89, 4, 4, 200, 2), (35, "unique", True, "ae0bd281949a39fe")),
 ]
 
 
@@ -408,6 +408,129 @@ def test_column_order_keeps_solution_sets():
             compared += 1
             infeasible += stats.status == reconstruct.STATUS_INFEASIBLE
     assert compared >= 300 and infeasible >= 10
+
+
+def batch_with_fixed_columns(rng, m, d):
+    """A 0/1 batch with copied, complementary and constant columns forced in."""
+    x = rng.integers(0, 2, (m, d)).astype(np.int64)
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = rng.integers(0, d, 2)
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            x[:, j] = x[:, i]
+        elif kind == 1:
+            x[:, j] = 1 - x[:, i]
+        else:
+            x[:, j] = kind - 2  # an empty or a full column
+    return x
+
+
+class TestFold:
+    def test_fixed_columns_match_brute_force(self):
+        rng = np.random.default_rng(68)
+        for _ in range(40):
+            m = int(rng.integers(1, 4))
+            d = int(rng.integers(2, 5))
+            alpha = gram_of(batch_with_fixed_columns(rng, m, d))
+            solutions, stats = solve(build_model(alpha, m))
+            assert stats.exhausted
+            assert {tuple(map(tuple, s.x)) for s in solutions} == brute_force_matches(alpha, m, d)
+
+    def test_fixed_columns_match_identity_order(self):
+        # Batch sizes one above and below the truth: a complementary pair then
+        # no longer covers every row, so it must not fold.
+        rng = np.random.default_rng(69)
+        compared = infeasible = folded = 0
+        for _ in range(200):
+            m = int(rng.integers(1, 9))
+            d = int(rng.integers(2, 12))
+            alpha = gram_of(batch_with_fixed_columns(rng, m, d))
+            for size in (m - 1, m, m + 1):
+                try:
+                    model = build_model(alpha, size)
+                except InfeasibleScreen:
+                    continue
+                solutions, stats = solve(model)
+                reference = identity_order_search(alpha, size)
+                assert stats.exhausted and not reference.stopped
+                assert stats.status == reconstruct._search_status(len(reference.solutions), True)
+                assert [tuple(map(tuple, s.x)) for s in solutions] == sorted(reference.solutions)
+                compared += 1
+                infeasible += stats.status == reconstruct.STATUS_INFEASIBLE
+                folded += 0 in stats.nodes_per_column
+        assert compared >= 400 and infeasible >= 5 and folded >= 300
+
+    @staticmethod
+    def premise_with_another_row(rng, complement):
+        """A Gram matrix whose columns i and j meet a fold premise, rows apart.
+
+        The premise is ``a_ii = a_ij = a_jj``, or ``a_ij = 0`` with
+        ``a_ii + a_jj = m``; column j's count with a third column is then
+        moved by one, so no batch has this Gram matrix.
+        """
+        m = int(rng.integers(2, 8))
+        d = int(rng.integers(3, 9))
+        x = rng.integers(0, 2, (m, d)).astype(np.int64)
+        i, j, l = rng.choice(d, 3, replace=False)
+        x[:, j] = 1 - x[:, i] if complement else x[:, i]
+        alpha = gram_of(x)
+        alpha[j, l] += int(rng.choice([-1, 1]))
+        alpha[l, j] = alpha[j, l]
+        return alpha, m
+
+    def test_copy_premise_with_another_row_is_screened(self):
+        # With a_ii = a_ij = a_jj, e_i - e_j has Gram norm 0; a positive
+        # semidefinite alpha then has equal rows i and j, so the screen
+        # rejects every such matrix before any fold.
+        rng = np.random.default_rng(70)
+        for _ in range(100):
+            alpha, m = self.premise_with_another_row(rng, complement=False)
+            with pytest.raises(InfeasibleScreen):
+                build_model(alpha, m)
+
+    def test_complement_premise_with_another_row_is_infeasible(self):
+        rng = np.random.default_rng(71)
+        checked = 0
+        for _ in range(300):
+            alpha, m = self.premise_with_another_row(rng, complement=True)
+            try:
+                model = build_model(alpha, m)
+            except InfeasibleScreen:
+                continue
+            solutions, stats = solve(model)
+            reference = identity_order_search(alpha, m)
+            assert reference.solutions == [] and not reference.stopped
+            assert solutions == [] and stats.status == reconstruct.STATUS_INFEASIBLE
+            checked += 1
+        assert checked >= 20
+
+    def test_disjoint_columns_short_of_the_batch_do_not_fold(self):
+        # Column 1's row is diag - column 0's row, but the two cover 2 of 3
+        # rows: the third row is empty, not a complement.
+        x = np.array([[1, 0], [0, 1], [0, 0]], dtype=np.int64)
+        solutions, stats = solve(build_model(gram_of(x), 3))
+        assert stats.status == reconstruct.STATUS_UNIQUE
+        assert np.array_equal(solutions[0].x, canonical_rows(x))
+        assert 0 not in stats.nodes_per_column
+
+    def test_folded_columns_follow_their_representative(self):
+        # Column 2 copies column 0, column 3 complements it, column 5 (full)
+        # complements the empty column 4, column 6 copies column 1. The empty
+        # column is the most extreme, then columns 0 and 1 tie: 0 goes first.
+        x = np.array([
+            [1, 1, 1, 0, 0, 1, 1],
+            [1, 0, 1, 0, 0, 1, 0],
+            [0, 1, 0, 1, 0, 1, 1],
+            [0, 0, 0, 1, 0, 1, 0],
+        ], dtype=np.int64)
+        solutions, stats = solve(build_model(gram_of(x), 4))
+        assert stats.status == reconstruct.STATUS_UNIQUE
+        assert np.array_equal(solutions[0].x, canonical_rows(x))
+        assert stats.column_order == (4, 5, 0, 2, 3, 1, 6)
+        per_column = dict(zip(stats.column_order, stats.nodes_per_column))
+        assert all(per_column[j] == 0 for j in (5, 2, 3, 6))
+        assert all(per_column[j] > 0 for j in (4, 0, 1))
+        assert sum(stats.nodes_per_column) == stats.nodes_explored
 
 
 class TestRecoverLabels:
@@ -571,6 +694,23 @@ class TestVerifySolution:
         result = verify_solution(xi, np.array([1, -1]), system)
         assert not result.ok
         assert "beta[1]" in result.detail
+
+    def test_fractional_labels_rejected_not_truncated(self):
+        # Cast to integers, these labels would read (1, -1, 1) and fit beta.
+        xi = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)
+        system = RecoveredSystem(alpha=xi.T @ xi, beta=xi.T @ np.array([1, -1, 1]))
+        result = verify_solution(xi, np.array([1.7, -1.2, 1.9]), system)
+        assert not result.ok
+        assert "-1 or +1" in result.detail
+        assert verify_solution(xi, np.array([1.0, -1.0, 1.0]), system).ok
+
+    @pytest.mark.parametrize("y", [[1, -1], [1, -1, 1, 1], [[1, -1, 1]]])
+    def test_wrong_label_shape_reported(self, y):
+        xi = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)
+        system = RecoveredSystem(alpha=xi.T @ xi, beta=xi.T @ np.array([1, -1, 1]))
+        result = verify_solution(xi, np.array(y), system)
+        assert not result.ok
+        assert "labels shape" in result.detail
 
     def test_fractional_entries_rejected_not_truncated(self):
         xi = np.array([[0.9, 0.0], [0.0, 1.0]])
