@@ -305,8 +305,10 @@ def walk_digest(batches):
 # exhausted, and a digest of the solutions in order. Seed 86 one row short is
 # infeasible. IDENTITY_ORDER_WALKS were recorded with the earlier recursive
 # search, whose columns went in input order: the search itself must not
-# change. GOLDEN_SEARCHES are what ``solve`` walks in fail-first column order;
-# seed 87 at 16x30 took 497 918 nodes in input order. Seeds 88 and 89 are wide
+# change. GOLDEN_SEARCHES walk all d columns in fail-first order, as ``solve``
+# did before it folded copies and complements; seed 87 at 16x30 took 497 918
+# nodes in input order. FOLDED_SEARCHES are what ``solve`` walks: the same
+# solutions, fewer nodes wherever a column folds. Seeds 88 and 89 are wide
 # cells: each split there meets the counts of up to 199 placed columns.
 IDENTITY_ORDER_WALKS = [
     ((70, 3, 3, 5, None), (17, "unique", True, "5a225fc940af52a2")),
@@ -325,6 +327,23 @@ IDENTITY_ORDER_WALKS = [
     ((89, 4, 4, 200, 2), (994, "unique", True, "ae0bd281949a39fe")),
 ]
 GOLDEN_SEARCHES = [
+    ((70, 3, 3, 5, None), (16, "unique", True, "5a225fc940af52a2")),
+    ((71, 5, 5, 10, None), (47, "unique", True, "1e26187773e6b065")),
+    ((72, 5, 5, 10, 1), (46, "limit_reached", False, "572457da3a214a64")),
+    ((73, 8, 8, 5, None), (47, "multiple", True, "6be5cc16cb9d004a")),
+    ((74, 8, 8, 10, 2), (104, "unique", True, "f39c39879666b97a")),
+    ((75, 9, 9, 5, 2), (41, "multiple", False, "a808a8048dfc0b65")),
+    ((76, 9, 9, 15, 2), (153, "unique", True, "a356dec4559ce052")),
+    ((77, 11, 11, 5, None), (34, "multiple", True, "4b2fb2e85049baed")),
+    ((78, 11, 11, 10, 1), (153, "limit_reached", False, "07c36e6b7819d3bd")),
+    ((79, 11, 11, 20, 2), (477, "unique", True, "0f5c69fc1427b9b3")),
+    ((80, 11, 11, 15, None), (323, "unique", True, "2b10756ae5c784f7")),
+    ((86, 6, 5, 8, None), (7, "infeasible", True, "4f53cda18c2baa0c")),
+    ((87, 16, 16, 30, None), (4599, "unique", True, "bfe52dc7e2c2af03")),
+    ((88, 3, 3, 100, 2), (331, "unique", True, "9ce962a375af7d9d")),
+    ((89, 4, 4, 200, 2), (842, "unique", True, "ae0bd281949a39fe")),
+]
+FOLDED_SEARCHES = [
     ((70, 3, 3, 5, None), (13, "unique", True, "5a225fc940af52a2")),
     ((71, 5, 5, 10, None), (34, "unique", True, "1e26187773e6b065")),
     ((72, 5, 5, 10, 1), (23, "limit_reached", False, "572457da3a214a64")),
@@ -359,8 +378,33 @@ def test_search_walk_matches_recording(case, expected):
     assert sum(search.column_nodes) == search.nodes
 
 
+def fail_first_search(alpha, m, limit=None):
+    """All d columns walked in ``_column_order``, nothing folded.
+
+    Returns the search and its solutions read back in input column order,
+    canonical and sorted as ``solve`` returns them.
+    """
+    alpha = np.asarray(alpha)
+    order = reconstruct._column_order(alpha.tolist(), m)
+    search = reconstruct._Search(alpha[np.ix_(order, order)].tolist(), m, limit, None)
+    search.run()
+    found = np.array(search.solutions, dtype=np.int64).reshape(-1, m, len(order))
+    batches = sorted(sorted(map(tuple, rows)) for rows in found[:, :, np.argsort(order)].tolist())
+    return search, batches
+
+
 @pytest.mark.parametrize("case, expected", GOLDEN_SEARCHES, ids=lambda v: str(v[0]))
 def test_solve_walk_matches_recording(case, expected):
+    seed, rows, m, d, limit = case
+    search, batches = fail_first_search(golden_gram(seed, rows, d), m, limit)
+    exhausted = not search.stopped
+    status = reconstruct._search_status(len(batches), exhausted)
+    assert (search.nodes, status, exhausted, walk_digest(batches)) == expected
+    assert sum(search.column_nodes) == search.nodes
+
+
+@pytest.mark.parametrize("case, expected", FOLDED_SEARCHES, ids=lambda v: str(v[0]))
+def test_folded_solve_walk_matches_recording(case, expected):
     seed, rows, m, d, limit = case
     solutions, stats = solve(build_model(golden_gram(seed, rows, d), m), limit=limit)
     digest = walk_digest([s.x for s in solutions])
