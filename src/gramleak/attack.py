@@ -20,7 +20,7 @@ import numpy as np
 from . import numkit
 from .fedsim import Batch, Observation
 
-DEFAULT_RECOVERY_TOL = 1e-8
+RECOVERY_TOL = 1e-8  # relative bound on asymmetry, rounding and fit residual
 
 
 class AsymmetryDetected(ArithmeticError):
@@ -58,6 +58,7 @@ class NullityCheck(NamedTuple):
 
 
 def _stack_observations(observations: list[Observation]) -> tuple[np.ndarray, np.ndarray]:
+    """Model points and pushes as rows; a width-d system needs d+1 of them."""
     if not observations:
         raise ValueError("need at least one observation")
     d = observations[0].theta.shape[0]
@@ -66,34 +67,31 @@ def _stack_observations(observations: list[Observation]) -> tuple[np.ndarray, np
             raise numkit.DimensionMismatch(
                 f"observation width {obs.theta.shape[0]} != {d}"
             )
-    thetas = np.array([obs.theta for obs in observations])
-    deltas = np.array([obs.delta for obs in observations])
-    return thetas, deltas
-
-
-def recover_alpha_beta(
-    observations: list[Observation],
-    learning_rate: float,
-    tol: float = DEFAULT_RECOVERY_TOL,
-) -> RecoveredSystem:
-    """Recover (X'X, X'Y) of the victim batch from synchronized observations.
-
-    Each output component obeys one linear equation in d+1 unknowns (a Gram
-    row plus one beta entry), so at least d+1 observations with model points
-    in general position are required. Symmetry is checked before rounding,
-    every recovered entry must round cleanly to an integer, and the rounded
-    system must reproduce every push within ``tol`` relative to the push
-    magnitude, as in :func:`recover_gamma_eta`; failures mean the transcript
-    did not come from a fixed-batch synchronized binary run.
-    """
-    thetas, deltas = _stack_observations(observations)
-    n_obs, d = thetas.shape
+    n_obs = len(observations)
     if n_obs < d + 1:
         raise numkit.RankDeficient(
             f"need at least {d + 1} observations to recover a width-{d} system, "
             f"got {n_obs}",
             rank=n_obs,
         )
+    thetas = np.array([obs.theta for obs in observations])
+    deltas = np.array([obs.delta for obs in observations])
+    return thetas, deltas
+
+
+def recover_alpha_beta(observations: list[Observation], learning_rate: float) -> RecoveredSystem:
+    """Recover (X'X, X'Y) of the victim batch from synchronized observations.
+
+    Each output component obeys one linear equation in d+1 unknowns (a Gram
+    row plus one beta entry), so at least d+1 observations with model points
+    in general position are required. Symmetry is checked before rounding,
+    every recovered entry must round cleanly to an integer, and the rounded
+    system must reproduce every push within ``RECOVERY_TOL`` relative to the push
+    magnitude, as in :func:`recover_gamma_eta`; failures mean the transcript
+    did not come from a fixed-batch synchronized binary run.
+    """
+    thetas, deltas = _stack_observations(observations)
+    n_obs, d = thetas.shape
     design = np.column_stack(
         [0.25 * learning_rate * thetas, np.full(n_obs, -0.5 * learning_rate)]
     )
@@ -102,52 +100,42 @@ def recover_alpha_beta(
     beta_raw = solved[:, d]
     asymmetry = float(np.max(np.abs(alpha_raw - alpha_raw.T)))
     scale = max(1.0, float(np.max(np.abs(alpha_raw))))
-    if asymmetry > tol * scale:
+    if asymmetry > RECOVERY_TOL * scale:
         raise AsymmetryDetected(
-            f"recovered matrix asymmetry {asymmetry:.3e} exceeds {tol * scale:.3e}; "
+            f"recovered matrix asymmetry {asymmetry:.3e} exceeds {RECOVERY_TOL * scale:.3e}; "
             "observations are inconsistent with a Gram-matrix model"
         )
-    alpha = numkit.round_integral(alpha_raw, tol)
-    beta = numkit.round_integral(beta_raw, tol)
+    alpha = numkit.round_integral(alpha_raw, RECOVERY_TOL)
+    beta = numkit.round_integral(beta_raw, RECOVERY_TOL)
     integrality = float(np.max(np.abs(solved - np.rint(solved))))
     fit = learning_rate * (0.25 * thetas @ alpha - 0.5 * beta)
     residual = float(np.max(np.abs(fit - deltas)))
-    push_scale = max(1.0, float(np.max(np.abs(deltas))))
-    if residual > tol * push_scale:
+    bound = RECOVERY_TOL * max(1.0, float(np.max(np.abs(deltas))))
+    if residual > bound:
         raise ResidualTooLarge(
-            f"fit residual {residual:.3e} of the rounded system exceeds {tol * push_scale:.3e}; "
+            f"fit residual {residual:.3e} of the rounded system exceeds {bound:.3e}; "
             "an observation outside the pivot rows disagrees with the others"
         )
     return RecoveredSystem(alpha, beta, integrality, residual)
 
 
-def recover_gamma_eta(
-    observations: list[Observation],
-    learning_rate: float,
-    tol: float = DEFAULT_RECOVERY_TOL,
-) -> ClosedFormParams:
+def recover_gamma_eta(observations: list[Observation], learning_rate: float) -> ClosedFormParams:
     """Fit the affine model ``delta = gamma.theta - lr*eta/2`` to asynchronized rounds.
 
     No integrality applies (gamma and eta are real in general); instead the fit
-    residual over all observations must stay below ``tol`` relative to the push
+    residual over all observations must stay below ``RECOVERY_TOL`` relative to the push
     magnitude. A large residual means no single affine map explains the rounds,
     which is exactly what the shuffle defense (or changing victim data) causes.
     """
     thetas, deltas = _stack_observations(observations)
     n_obs, d = thetas.shape
-    if n_obs < d + 1:
-        raise numkit.RankDeficient(
-            f"need at least {d + 1} observations to recover a width-{d} system, "
-            f"got {n_obs}",
-            rank=n_obs,
-        )
     design = np.column_stack([thetas, np.full(n_obs, -0.5 * learning_rate)])
     solved = numkit.solve_linear(design, deltas).T
     residual = float(np.max(np.abs(design @ solved.T - deltas)))
     scale = max(1.0, float(np.max(np.abs(deltas))))
-    if residual > tol * scale:
+    if residual > RECOVERY_TOL * scale:
         raise ResidualTooLarge(
-            f"affine fit residual {residual:.3e} exceeds {tol * scale:.3e}; "
+            f"affine fit residual {residual:.3e} exceeds {RECOVERY_TOL * scale:.3e}; "
             "rounds do not share one batch order (shuffle active?) or data changed"
         )
     return ClosedFormParams(solved[:, :d].copy(), solved[:, d].copy(), learning_rate, residual)
@@ -225,11 +213,10 @@ def gamma_nullity_check(
         if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
             raise ValueError("every alpha must be symmetric")
 
+    zero_betas = [np.zeros(d)] * n
+
     def gamma_flat(stack: np.ndarray) -> np.ndarray:
-        product = np.eye(d)
-        for idx in range(n):
-            product = (np.eye(d) - 0.25 * learning_rate * stack[idx]) @ product
-        return (np.eye(d) - product).ravel()
+        return closed_form_params(list(stack), zero_betas, learning_rate).gamma.ravel()
 
     upper = [(i, j) for i in range(d) for j in range(i, d)]
     variable_count = n * len(upper)

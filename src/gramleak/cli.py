@@ -12,7 +12,6 @@ import dataclasses
 import json
 import math
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
@@ -32,6 +31,7 @@ EXIT_NO_LABELS = 10
 EXIT_UNVERIFIED = 11
 
 DEFAULT_GRID = "3,5,8,9,11x5,10,15,20"
+EQUIVALENCE_TOL = 1e-9  # theorems: bound on |simulated - closed-form push|
 
 
 class CliError(click.ClickException):
@@ -197,50 +197,32 @@ def _read_transcript(path: str) -> fedsim.Transcript:
 
 @main.command("attack")
 @click.argument("transcript", type=click.Path(exists=True))
-@click.option("--tol", type=float, default=attack.DEFAULT_RECOVERY_TOL, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def cmd_attack(transcript, tol, out):
+def cmd_attack(transcript, out):
     """Recover the leaked linear system from a transcript."""
     t = _read_transcript(transcript)
     observations = list(t.observations)
     lr = t.config.learning_rate
     n_obs, d = len(observations), observations[0].theta.shape[0]
-    # Recovery raises RankDeficient unless each of the d + 1 design columns
-    # gets a pivot, and numkit.rank runs the same elimination as
-    # solve_linear, so the design of any recovered system has full column rank.
-    design_rank = d + 1
     out = out or "recovery.json"
     try:
         if t.config.mode == fedsim.SYNCHRONIZED:
-            system = attack.recover_alpha_beta(observations, lr, tol)
+            fit = attack.recover_alpha_beta(observations, lr)
             report = {
                 "kind": "alpha_beta",
-                "mode": t.config.mode,
-                "lambda": lr,
-                "alpha": [[int(v) for v in row] for row in system.alpha],
-                "beta": [int(v) for v in system.beta],
-                "diagnostics": {
-                    "observations": n_obs,
-                    "design_rank": design_rank,
-                    "max_integrality_residual": system.max_integrality_residual,
-                    "max_fit_residual": system.max_fit_residual,
-                },
+                "alpha": [[int(v) for v in row] for row in fit.alpha],
+                "beta": [int(v) for v in fit.beta],
             }
+            diagnostics = {"max_integrality_residual": fit.max_integrality_residual}
             summary = f"recovered integral system of width {d}"
         else:
-            params = attack.recover_gamma_eta(observations, lr, tol)
+            fit = attack.recover_gamma_eta(observations, lr)
             report = {
                 "kind": "gamma_eta",
-                "mode": t.config.mode,
-                "lambda": lr,
-                "gamma": [[float(v) for v in row] for row in params.gamma],
-                "eta": [float(v) for v in params.eta],
-                "diagnostics": {
-                    "observations": n_obs,
-                    "design_rank": design_rank,
-                    "max_fit_residual": params.max_fit_residual,
-                },
+                "gamma": [[float(v) for v in row] for row in fit.gamma],
+                "eta": [float(v) for v in fit.eta],
             }
+            diagnostics = {}
             summary = f"recovered affine pass parameters of width {d}"
     except numkit.RankDeficient as exc:
         raise CliError(f"RankDeficient: {exc}", EXIT_RANK_DEFICIENT)
@@ -250,7 +232,12 @@ def cmd_attack(transcript, tol, out):
         raise CliError(f"AsymmetryDetected: {exc}", EXIT_ASYMMETRY)
     except attack.ResidualTooLarge as exc:
         raise CliError(f"ResidualTooLarge: {exc}", EXIT_RESIDUAL)
-    _write_json(out, report)
+    # Recovery raises RankDeficient unless each of the d + 1 design columns
+    # gets a pivot, and numkit.rank runs the same elimination as
+    # solve_linear, so the design of any recovered system has full column rank.
+    diagnostics.update(observations=n_obs, design_rank=d + 1,
+                       max_fit_residual=fit.max_fit_residual)
+    _write_json(out, {**report, "mode": t.config.mode, "lambda": lr, "diagnostics": diagnostics})
     click.echo(f"wrote {out}: {summary} from {n_obs} observations")
 
 
@@ -342,7 +329,7 @@ def cmd_reconstruct(report, batch_size, discover, max_m, limit, deadline,
         "stats": {
             **dataclasses.asdict(stats),
             "constraints": model.constraint_count,
-            "constraints_ordered": model.ordered_constraint_count,
+            "constraints_ordered": reconstruct.count_constraints(m, model.d),
         },
     })
     click.echo(
@@ -424,6 +411,9 @@ def cmd_table1(config_path, grid, trials, seed, limit, deadline, jobs, out, fmt)
     cells = _grid_cells(grid)
     tasks = [(m, d, seed, trials, limit, deadline) for m, d in cells]
     if jobs > 1:
+        # Imported here, so that no other command pays to load the process pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_table1_cell, tasks))
     else:
@@ -454,15 +444,12 @@ def cmd_table1(config_path, grid, trials, seed, limit, deadline, jobs, out, fmt)
 @click.option("--trials", type=int, default=None,
               help="Closed-form equivalence trials [default: 100]")
 @click.option("--seed", type=int, default=None)
-@click.option("--tol", type=float, default=None,
-              help="Componentwise deviation bound [default: 1e-9]")
 @click.option("--out", type=click.Path(), default=None)
-def cmd_theorems(config_path, trials, seed, tol, out):
+def cmd_theorems(config_path, trials, seed, out):
     """Numeric checks: closed-form pass equivalence and manifold nullity grid."""
     cfg = _load_config(config_path)
     trials = _pick_count(trials, cfg, "trials", 100)
     seed = _pick_seed(seed, cfg)
-    tol = _pick(tol, cfg, "tol", 1e-9, float)
     lambdas = (0.01, 0.1, 0.5)
     max_dev = 0.0
     equivalence_failures = []
@@ -480,7 +467,7 @@ def cmd_theorems(config_path, trials, seed, tol, out):
         closed = attack.closed_form_delta(alphas, betas, theta, lr)
         dev = float(np.max(np.abs(simulated - closed)))
         max_dev = max(max_dev, dev)
-        if dev > tol:
+        if dev > EQUIVALENCE_TOL:
             equivalence_failures.append({"seed": [seed, trial], "deviation": dev})
     nullity_cells = []
     nullity_failures = []
@@ -507,7 +494,7 @@ def cmd_theorems(config_path, trials, seed, tol, out):
     report = {
         "closed_form_equivalence": {
             "trials": trials,
-            "tolerance": tol,
+            "tolerance": EQUIVALENCE_TOL,
             "max_deviation": max_dev,
             "failures": equivalence_failures,
         },
@@ -520,7 +507,7 @@ def cmd_theorems(config_path, trials, seed, tol, out):
         _write_json(out, report)
     click.echo(
         f"closed-form equivalence: {trials} trials, max deviation {max_dev:.3e} "
-        f"(tol {tol:.1e})"
+        f"(tol {EQUIVALENCE_TOL:.1e})"
     )
     min_nullity = min(c["nullity"] for c in nullity_cells)
     click.echo(

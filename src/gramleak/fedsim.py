@@ -264,16 +264,26 @@ def dump_transcript(transcript: Transcript) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+# The JSON type each config value must already have; true and false are not numbers.
+_CONFIG_TYPES = {"lambda": (int, float), "mode": (str,), "parties": (int,),
+                 "rounds": (int,), "shuffle": (bool,), "seed": (int,)}
+
+
 def load_transcript(text: str) -> Transcript:
+    """Parse the JSON interchange format; a config value of the wrong type is a ValueError."""
     doc = json.loads(text)
     cfg = doc["config"]
+    for key, kinds in _CONFIG_TYPES.items():
+        if type(cfg[key]) not in kinds:
+            names = " or ".join(kind.__name__ for kind in kinds)
+            raise ValueError(f"config value {key!r} must be {names}, got {cfg[key]!r}")
     config = TrainingConfig(
         learning_rate=float(cfg["lambda"]),
         mode=cfg["mode"],
-        parties=int(cfg["parties"]),
-        rounds=int(cfg["rounds"]),
-        shuffle=bool(cfg["shuffle"]),
-        seed=int(cfg["seed"]),
+        parties=cfg["parties"],
+        rounds=cfg["rounds"],
+        shuffle=cfg["shuffle"],
+        seed=cfg["seed"],
     )
     observations = tuple(
         Observation(theta=np.array(o["theta"], dtype=float),

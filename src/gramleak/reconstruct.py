@@ -78,11 +78,6 @@ class IlpModel:
         """Constraints in the exported listing (one group per unordered pair)."""
         return self.d + (2 * self.m + 1) * self.d * (self.d - 1) // 2
 
-    @property
-    def ordered_constraint_count(self) -> int:
-        """Ordered-pair accounting, (2m+1)d^2 - 2md, for external comparison."""
-        return count_constraints(self.m, self.d)
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -617,7 +612,10 @@ def discover_batch_size(
     the rows two columns cover together (``a_ii + a_jj - a_ij``); candidates
     run from the largest of these up to ``cap``. The screen's size bounds
     only loosen as the size grows, so alpha is screened once at ``cap``
-    first: what fails there fails at every candidate size.
+    first: what fails there fails at every candidate size. The scan stops at
+    the first size whose search finds a batch or is cut off before it
+    decides (no solution, ``exhausted`` false). Such a size comes back with
+    no solutions, since it may still be the smallest feasible one.
     """
     ai = _screen(alpha, cap)
     diag = np.diag(ai)
@@ -625,6 +623,6 @@ def discover_batch_size(
     lower = max(1, int(np.max(diag[:, None] + diag[None, :] - ai)))
     for m in range(lower, cap + 1):
         solutions, stats = solve(build_model(ai, m), limit=limit, deadline=deadline)
-        if solutions:
+        if solutions or not stats.exhausted:
             return m, solutions, stats
     raise InfeasibleScreen(f"no feasible batch size in [{lower}, {cap}]")

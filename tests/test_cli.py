@@ -24,6 +24,19 @@ def run_ok(runner, args):
     return result
 
 
+def edited_transcript(runner, tmp_path, edit):
+    """``simulate --m 3 --d 4 --rounds 6 --seed 1``, its JSON document passed through ``edit``."""
+    transcript = tmp_path / "t.json"
+    run_ok(runner, [
+        "simulate", "--m", "3", "--d", "4", "--rounds", "6", "--seed", "1",
+        "--out", str(transcript),
+    ])
+    doc = json.loads(transcript.read_text())
+    edit(doc)
+    transcript.write_text(json.dumps(doc))
+    return transcript
+
+
 class TestSimulate:
     def test_deterministic_output_bytes(self, runner, tmp_path):
         a = tmp_path / "a.json"
@@ -158,6 +171,20 @@ class TestAttackCommand:
         doc = json.loads(report.read_text())
         assert doc["kind"] == "gamma_eta"
         assert doc["diagnostics"]["max_fit_residual"] < 1e-10
+
+    @pytest.mark.parametrize("config", [
+        {"rounds": 6.7}, {"rounds": "6"}, {"lambda": "0.1"}, {"lambda": True},
+        {"seed": 1.9}, {"shuffle": "false"},
+    ], ids=json.dumps)
+    def test_mistyped_config_value_is_a_parse_error(self, runner, tmp_path, config):
+        # No value is cast: "false" would load as True and 6.7 as 6 rounds.
+        transcript = edited_transcript(runner, tmp_path, lambda doc: doc["config"].update(config))
+        (key,) = config
+        report = tmp_path / "r.json"
+        result = runner.invoke(main, ["attack", str(transcript), "--out", str(report)])
+        assert result.exit_code == cli.EXIT_USAGE, result.output
+        assert f"config value '{key}'" in result.output
+        assert not report.exists()
 
     def test_truncated_file_is_a_parse_error(self, runner, tmp_path):
         broken = tmp_path / "broken.json"
@@ -438,7 +465,7 @@ class TestTheoremsCommand:
     ("table1", {"limit": 1.5}),
     ("table1", {"format": "xml"}),
     ("theorems", {"trials": "x"}),
-    ("theorems", {"tol": float("nan")}),
+    ("simulate", {"lambda": float("nan")}),
     ("simulate", {"seed": -1}),
     ("table1", {"seed": -1}),
     ("theorems", {"seed": -1}),
@@ -490,3 +517,69 @@ def test_count_below_one_is_a_usage_error(runner, tmp_path, source, command, key
     assert result.exit_code == cli.EXIT_USAGE, result.output
     assert f"{key} must be at least 1" in result.output
     assert not out.exists()
+
+
+def _recovery_5x10(runner, tmp_path):
+    transcript, report = tmp_path / "t.json", tmp_path / "r.json"
+    run_ok(runner, [
+        "simulate", "--m", "5", "--d", "10", "--rounds", "13", "--seed", "3",
+        "--out", str(transcript),
+    ])
+    run_ok(runner, ["attack", str(transcript), "--out", str(report)])
+    return report
+
+
+def _report(tmp_path, alpha, beta):
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps({"kind": "alpha_beta", "alpha": alpha, "beta": beta}))
+    return report
+
+
+def _lambda_off(doc):
+    doc["config"]["lambda"] = 0.15
+
+
+def _push_off(doc):
+    doc["observations"][1]["delta"][0] += 0.37
+
+
+# One input per documented exit code from 4 to 10; each builds the command line.
+EXIT_CASES = {
+    "4-not-integral": (cli.EXIT_NOT_INTEGRAL, lambda runner, tmp_path: [
+        "attack", str(edited_transcript(runner, tmp_path, _lambda_off))]),
+    "5-asymmetry": (cli.EXIT_ASYMMETRY, lambda runner, tmp_path: [
+        "attack", str(edited_transcript(runner, tmp_path, _push_off))]),
+    "7-screen": (cli.EXIT_SCREEN, lambda runner, tmp_path: [
+        "reconstruct", str(_recovery_5x10(runner, tmp_path)), "--m", "2"]),
+    "8-infeasible": (cli.EXIT_INFEASIBLE, lambda runner, tmp_path: [
+        "reconstruct", str(_report(tmp_path, np.eye(3, dtype=int).tolist(), [1, 1, 1])),
+        "--m", "2"]),
+    "9-deadline": (cli.EXIT_DEADLINE, lambda runner, tmp_path: [
+        "reconstruct", str(_recovery_5x10(runner, tmp_path)), "--m", "5", "--deadline", "0"]),
+    "9-discover-deadline": (cli.EXIT_DEADLINE, lambda runner, tmp_path: [
+        "reconstruct", str(_recovery_5x10(runner, tmp_path)), "--discover", "--deadline", "0"]),
+    # x = [[1,0,1],[0,1,1],[1,1,0]] with y = +1 gives beta = (2, 2, 2); beta[0] = 4
+    # would need both rows holding feature 0 to carry a label of 2.
+    "10-no-labels": (cli.EXIT_NO_LABELS, lambda runner, tmp_path: [
+        "reconstruct", str(_report(tmp_path, [[2, 1, 1], [1, 2, 1], [1, 1, 2]], [4, 2, 2])),
+        "--m", "3"]),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_documented_exit_code(runner, tmp_path, case):
+    code, build = EXIT_CASES[case]
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, build(runner, tmp_path) + ["--out", str(out)])
+    assert result.exit_code == code, result.output
+    assert not out.exists()
+
+
+def test_tolerance_is_not_an_option(runner, tmp_path):
+    transcript = edited_transcript(runner, tmp_path, lambda doc: None)
+    out = tmp_path / "out.json"
+    for args in (["attack", str(transcript), "--tol", "1e-8"], ["theorems", "--tol", "1e-9"]):
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == cli.EXIT_USAGE, result.output
+        assert "--tol" in result.output
+        assert not out.exists()

@@ -61,7 +61,6 @@ class TestCountConstraints:
                 assert model.constraint_count == d + pair_sums + if_then
                 ordered = d + 2 * pair_sums + 2 * if_then
                 assert ordered == count_constraints(m, d)
-                assert model.ordered_constraint_count == count_constraints(m, d)
 
 
 class TestBuildModel:
@@ -789,3 +788,16 @@ class TestDiscoverBatchSize:
         alpha = np.diag([4, 2]).astype(np.int64)
         with pytest.raises(InfeasibleScreen):
             discover_batch_size(alpha, cap=3)
+
+    def test_search_cut_off_stops_the_scan(self):
+        # A search stopped by its deadline leaves its size undecided, so a
+        # larger size is no answer: the scan returns that size with nothing.
+        batch = fedsim.random_batch(np.random.default_rng(3), 5, 10)
+        xi = batch.x.astype(np.int64)
+        alpha = xi.T @ xi
+        diag = np.diag(alpha)
+        lower = int(np.max(diag[:, None] + diag[None, :] - alpha))
+        m, solutions, stats = discover_batch_size(alpha, cap=40, limit=1, deadline=0)
+        assert (m, solutions) == (lower, [])
+        assert stats.status == reconstruct.STATUS_LIMIT
+        assert not stats.exhausted
