@@ -21,6 +21,8 @@ from . import numkit
 from .fedsim import Batch, Observation
 
 RECOVERY_TOL = 1e-8  # relative bound on asymmetry, rounding and fit residual
+NULLITY_FD_STEP = 1e-6  # central-difference step of gamma_nullity_check
+NULLITY_RANK_TOL = 1e-8  # relative pivot bound of its Jacobian rank
 
 
 class AsymmetryDetected(ArithmeticError):
@@ -97,7 +99,6 @@ def recover_alpha_beta(observations: list[Observation], learning_rate: float) ->
     )
     solved = numkit.solve_linear(design, deltas).T
     alpha_raw = solved[:, :d]
-    beta_raw = solved[:, d]
     asymmetry = float(np.max(np.abs(alpha_raw - alpha_raw.T)))
     scale = max(1.0, float(np.max(np.abs(alpha_raw))))
     if asymmetry > RECOVERY_TOL * scale:
@@ -105,9 +106,11 @@ def recover_alpha_beta(observations: list[Observation], learning_rate: float) ->
             f"recovered matrix asymmetry {asymmetry:.3e} exceeds {RECOVERY_TOL * scale:.3e}; "
             "observations are inconsistent with a Gram-matrix model"
         )
-    alpha = numkit.round_integral(alpha_raw, RECOVERY_TOL)
-    beta = numkit.round_integral(beta_raw, RECOVERY_TOL)
-    integrality = float(np.max(np.abs(solved - np.rint(solved))))
+    # One rounding of [alpha | beta]; a NotIntegral names beta_i as entry (i, d).
+    rounded = numkit.round_integral(solved, RECOVERY_TOL)
+    integrality = float(np.max(np.abs(solved - rounded)))
+    alpha = rounded[:, :d].copy()
+    beta = rounded[:, d].copy()
     fit = learning_rate * (0.25 * thetas @ alpha - 0.5 * beta)
     residual = float(np.max(np.abs(fit - deltas)))
     bound = RECOVERY_TOL * max(1.0, float(np.max(np.abs(deltas))))
@@ -188,17 +191,13 @@ def closed_form_delta(
     return params.gamma @ theta - 0.5 * learning_rate * params.eta
 
 
-def gamma_nullity_check(
-    alphas: list[np.ndarray],
-    learning_rate: float,
-    fd_step: float = 1e-6,
-    tol: float = 1e-8,
-) -> NullityCheck:
+def gamma_nullity_check(alphas: list[np.ndarray], learning_rate: float) -> NullityCheck:
     """Local dimension of the solution manifold of the gamma equation.
 
     Treats gamma as a map from the symmetric parameters of (alpha_1..alpha_n)
-    to d^2 outputs, differentiates it by central differences at the given
-    point, and reports (numeric Jacobian rank, parameter count, nullity).
+    to d^2 outputs, differentiates it by central differences of step
+    ``NULLITY_FD_STEP`` at the given point, and reports (numeric Jacobian
+    rank, parameter count, nullity).
     n*d*(d+1)/2 parameters against d^2 outputs leave a positive-dimensional
     local solution set whenever n >= 2, which the nullity makes measurable.
     """
@@ -226,14 +225,14 @@ def gamma_nullity_check(
         for i, j in upper:
             plus = mats.copy()
             minus = mats.copy()
-            plus[t, i, j] += fd_step
-            minus[t, i, j] -= fd_step
+            plus[t, i, j] += NULLITY_FD_STEP
+            minus[t, i, j] -= NULLITY_FD_STEP
             if i != j:
-                plus[t, j, i] += fd_step
-                minus[t, j, i] -= fd_step
-            jacobian[:, col] = (gamma_flat(plus) - gamma_flat(minus)) / (2.0 * fd_step)
+                plus[t, j, i] += NULLITY_FD_STEP
+                minus[t, j, i] -= NULLITY_FD_STEP
+            jacobian[:, col] = (gamma_flat(plus) - gamma_flat(minus)) / (2.0 * NULLITY_FD_STEP)
             col += 1
-    jac_rank = numkit.rank(jacobian, tol)
+    jac_rank = numkit.rank(jacobian, NULLITY_RANK_TOL)
     return NullityCheck(
         jacobian_rank=jac_rank,
         variable_count=variable_count,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import statistics
 from pathlib import Path
 
@@ -52,30 +51,20 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-_CONFIG_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
-                 str: "a string"}
-
-
 def _pick(flag, config: dict, key: str, default, kind: type):
     """Flag beats config file beats built-in default.
 
-    Flags arrive converted by click. A config value must already be of
-    ``kind`` (an int also passes as a float), or the command exits 2: no
-    string is parsed and no fraction is truncated.
+    Flags arrive converted by click. A config value must already have the
+    JSON type of ``kind`` (``fedsim.config_value``), or the command exits 2.
     """
     if flag is not None:
         return flag
     if key not in config:
         return default
-    value = config[key]
-    if kind is float:
-        ok = type(value) in (int, float) and math.isfinite(value)
-    else:
-        ok = type(value) is kind
-    if not ok:
-        raise CliError(f"config value {key!r} must be {_CONFIG_KINDS[kind]}, got {value!r}",
-                       EXIT_USAGE)
-    return kind(value)
+    try:
+        return fedsim.config_value(config, key, kind)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_USAGE)
 
 
 def _pick_seed(flag, config: dict) -> int:
@@ -109,31 +98,17 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def rank_correlation(xs: list[float], ys: list[float]) -> float:
-    """Spearman rank correlation (average ranks on ties)."""
+    """Spearman rank correlation (average ranks on ties); 0.0 if either side is constant."""
 
-    def ranks(values: list[float]) -> list[float]:
-        order = sorted(range(len(values)), key=lambda i: values[i])
-        out = [0.0] * len(values)
-        i = 0
-        while i < len(order):
-            j = i
-            while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-                j += 1
-            avg = (i + j) / 2.0 + 1.0
-            for k in range(i, j + 1):
-                out[order[k]] = avg
-            i = j + 1
-        return out
+    def ranks(values: list[float]) -> np.ndarray:
+        _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+        # A value's copies take ranks cumsum - count + 1 through cumsum.
+        return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
     rx, ry = ranks(xs), ranks(ys)
-    n = len(xs)
-    mx, my = sum(rx) / n, sum(ry) / n
-    cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
-    vx = sum((a - mx) ** 2 for a in rx)
-    vy = sum((b - my) ** 2 for b in ry)
-    if vx == 0.0 or vy == 0.0:
+    if rx.min() == rx.max() or ry.min() == ry.max():
         return 0.0
-    return cov / math.sqrt(vx * vy)
+    return float(np.corrcoef(rx, ry)[0, 1])
 
 
 @click.group()
@@ -263,7 +238,8 @@ def _integral_system(doc: dict) -> tuple[np.ndarray, np.ndarray]:
 @click.option("--m", "batch_size", type=click.IntRange(min=1), default=None,
               help="Known victim batch size.")
 @click.option("--discover", is_flag=True, default=False,
-              help="Scan batch sizes upward from the diagonal maximum.")
+              help="Scan batch sizes upward from the most rows that two columns "
+                   "cover together (a_ii + a_jj - a_ij).")
 @click.option("--max-m", type=click.IntRange(min=1), default=64, show_default=True,
               help="Cap for --discover.")
 @click.option("--limit", type=int, default=2, show_default=True,
@@ -291,13 +267,11 @@ def cmd_reconstruct(report, batch_size, discover, max_m, limit, deadline,
     out = out or "solution.json"
     try:
         if discover:
-            m, solutions, stats = reconstruct.discover_batch_size(
+            model, solutions, stats = reconstruct.discover_batch_size(
                 alpha, cap=max_m, limit=limit, deadline=deadline
             )
-            model = reconstruct.build_model(alpha, m)
         else:
-            m = batch_size
-            model = reconstruct.build_model(alpha, m)
+            model = reconstruct.build_model(alpha, batch_size)
             solutions, stats = reconstruct.solve(model, limit=limit, deadline=deadline)
     except reconstruct.InfeasibleScreen as exc:
         raise CliError(f"InfeasibleScreen: {exc}", EXIT_SCREEN)
@@ -323,17 +297,17 @@ def cmd_reconstruct(report, batch_size, discover, max_m, limit, deadline,
     if not check.ok:
         raise CliError(f"Unverified: {check.detail}", EXIT_UNVERIFIED)
     _write_json(out, {
-        "m": m,
+        "m": model.m,
         "x": [[int(v) for v in row] for row in first.x],
         "y": [int(v) for v in labels],
         "stats": {
             **dataclasses.asdict(stats),
             "constraints": model.constraint_count,
-            "constraints_ordered": reconstruct.count_constraints(m, model.d),
+            "constraints_ordered": reconstruct.count_constraints(model.m, model.d),
         },
     })
     click.echo(
-        f"wrote {out}: m={m}, status={stats.status}, "
+        f"wrote {out}: m={model.m}, status={stats.status}, "
         f"{stats.solutions_found} solution(s), {stats.nodes_explored} nodes"
     )
 

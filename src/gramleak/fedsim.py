@@ -264,26 +264,37 @@ def dump_transcript(transcript: Transcript) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-# The JSON type each config value must already have; true and false are not numbers.
-_CONFIG_TYPES = {"lambda": (int, float), "mode": (str,), "parties": (int,),
-                 "rounds": (int,), "shuffle": (bool,), "seed": (int,)}
+_JSON_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string"}
+
+
+def config_value(config: dict, key: str, kind: type):
+    """``config[key]``, which must already have ``kind``'s JSON type, else a ValueError.
+
+    An int passes as a float, a float must be finite, and true and false are
+    not numbers: no string is parsed and no fraction is truncated.
+    """
+    value = config[key]
+    if kind is float:
+        ok = type(value) in (int, float) and math.isfinite(value)
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise ValueError(f"config value {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return kind(value)
 
 
 def load_transcript(text: str) -> Transcript:
     """Parse the JSON interchange format; a config value of the wrong type is a ValueError."""
     doc = json.loads(text)
     cfg = doc["config"]
-    for key, kinds in _CONFIG_TYPES.items():
-        if type(cfg[key]) not in kinds:
-            names = " or ".join(kind.__name__ for kind in kinds)
-            raise ValueError(f"config value {key!r} must be {names}, got {cfg[key]!r}")
     config = TrainingConfig(
-        learning_rate=float(cfg["lambda"]),
-        mode=cfg["mode"],
-        parties=cfg["parties"],
-        rounds=cfg["rounds"],
-        shuffle=cfg["shuffle"],
-        seed=cfg["seed"],
+        learning_rate=config_value(cfg, "lambda", float),
+        mode=config_value(cfg, "mode", str),
+        parties=config_value(cfg, "parties", int),
+        rounds=config_value(cfg, "rounds", int),
+        shuffle=config_value(cfg, "shuffle", bool),
+        seed=config_value(cfg, "seed", int),
     )
     observations = tuple(
         Observation(theta=np.array(o["theta"], dtype=float),

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_PIVOT_TOL = 1e-10
+DEFAULT_PIVOT_TOL = 1e-10  # relative pivot bound of solve_linear, and rank's default
 DEFAULT_INTEGRALITY_TOL = 1e-6
+INT64_BOUND = 2.0**63  # no int64 holds a value of this magnitude or more
 
 
 class DimensionMismatch(ValueError):
@@ -38,7 +39,10 @@ class NonFinite(ValueError):
 
 
 class NotIntegral(ArithmeticError):
-    """A matrix expected to be integral has an entry too far from any integer."""
+    """A matrix expected to be integral has an entry too far from any integer.
+
+    An integer too large for an int64 counts as too far as well.
+    """
 
     def __init__(self, message: str, worst_value: float, distance: float):
         super().__init__(message)
@@ -94,7 +98,7 @@ def _eliminate(work: np.ndarray, cols: int, tol: float) -> int:
     return r
 
 
-def solve_linear(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
+def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
 
     ``b`` is one right-hand side or a matrix of them, one per column, and ``x``
@@ -103,7 +107,7 @@ def solve_linear(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_PIVOT_TOL) -
     equal to a solve for its column of ``b`` alone. ``a`` may have more rows
     than columns. ``x`` satisfies the pivot equations exactly, so callers that
     care about inconsistency inspect the residual ``a @ x - b`` themselves. A
-    pivot below ``tol`` times the largest entry of ``a`` raises
+    pivot below ``DEFAULT_PIVOT_TOL`` times the largest entry of ``a`` raises
     :class:`RankDeficient` carrying the rank of ``a``.
     """
     a = as_matrix(a)
@@ -114,9 +118,11 @@ def solve_linear(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_PIVOT_TOL) -
     if b.shape[0] != rows:
         raise DimensionMismatch(f"rhs length {b.shape[0]} does not match {rows} rows")
     aug = np.column_stack([a, b])
-    r = _eliminate(aug, cols, tol)
+    r = _eliminate(aug, cols, DEFAULT_PIVOT_TOL)
     if r < cols:
-        raise RankDeficient(f"rank {r} below {cols} unknowns (tol {tol:.1e})", rank=r)
+        raise RankDeficient(
+            f"rank {r} below {cols} unknowns (tol {DEFAULT_PIVOT_TOL:.1e})", rank=r
+        )
     # Column-oriented back substitution over the whole block of right-hand
     # sides (Golub and Van Loan, Matrix Computations, 3.1): once x[c] is known,
     # its multiple of column c of the triangle leaves the rows above it. Every
@@ -141,9 +147,10 @@ def round_integral(m: np.ndarray, tol: float = DEFAULT_INTEGRALITY_TOL) -> np.nd
     """Round every entry to the nearest integer, returning an int64 array.
 
     Fails with :class:`NotIntegral` if any entry sits further than ``tol``
-    from its nearest integer; the error names the worst offender, and NaN or
-    inf raises :class:`NonFinite`. Accepts arrays of any shape, so it rounds
-    vectors as well as matrices.
+    from its nearest integer, naming the worst offender, or if any entry is
+    too large for an int64; NaN or inf raises :class:`NonFinite`. Accepts
+    arrays of any shape, so it rounds vectors as well as matrices. Every
+    value that gramleak rounds to an integer is rounded here.
     """
     a = _finite(np.asarray(m, dtype=float))
     rounded = np.rint(a)
@@ -151,12 +158,14 @@ def round_integral(m: np.ndarray, tol: float = DEFAULT_INTEGRALITY_TOL) -> np.nd
     worst = int(np.argmax(dist))
     worst_dist = float(dist.flat[worst])
     if worst_dist > tol:
-        value = float(a.flat[worst])
-        idx = np.unravel_index(worst, a.shape)
-        raise NotIntegral(
-            f"entry {value!r} at {tuple(int(i) for i in idx)} is {worst_dist:.3e} "
-            f"from an integer (tol {tol:.3e})",
-            worst_value=value,
-            distance=worst_dist,
-        )
-    return rounded.astype(np.int64)
+        problem = f"is {worst_dist:.3e} from an integer (tol {tol:.3e})"
+    else:
+        beyond = np.flatnonzero(np.abs(rounded) >= INT64_BOUND)
+        if not beyond.size:
+            return rounded.astype(np.int64)
+        worst = int(beyond[0])
+        problem = "is outside the int64 range"
+    value = float(a.flat[worst])
+    idx = tuple(int(i) for i in np.unravel_index(worst, a.shape))
+    raise NotIntegral(f"entry {value!r} at {idx} {problem}", worst_value=value,
+                      distance=float(dist.flat[worst]))

@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -45,6 +45,7 @@ from . import numkit
 from .attack import RecoveredSystem
 
 PSD_TOL = 1e-9
+INTEGRALITY_TOL = 1e-9  # how far a leaked Gram or beta entry may sit from its integer
 
 STATUS_UNIQUE = "unique"
 STATUS_MULTIPLE = "multiple"
@@ -111,17 +112,20 @@ def canonical_rows(x: np.ndarray) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def _screen(alpha: np.ndarray, m: int) -> np.ndarray:
+def build_model(alpha: np.ndarray, m: int) -> IlpModel:
+    """Screen a leaked Gram matrix and wrap it as the model of batch size ``m``.
+
+    A malformed, non-integral or infeasible alpha raises :class:`InfeasibleScreen`.
+    """
     a = np.asarray(alpha, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InfeasibleScreen(f"alpha must be square, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise InfeasibleScreen(f"alpha must be a non-empty square matrix, got shape {a.shape}")
     if m < 1:
         raise InfeasibleScreen(f"batch size must be at least 1, got {m}")
-    rounded = np.rint(a)
-    off = float(np.max(np.abs(a - rounded)))
-    if off > 1e-9:
-        raise InfeasibleScreen(f"alpha is not integral (worst deviation {off:.3e})")
-    ai = rounded.astype(np.int64)
+    try:
+        ai = numkit.round_integral(a, INTEGRALITY_TOL)
+    except (numkit.NotIntegral, numkit.NonFinite) as exc:
+        raise InfeasibleScreen(f"alpha is not integral: {exc}") from exc
     if not np.array_equal(ai, ai.T):
         raise InfeasibleScreen("alpha is not symmetric")
     d = ai.shape[0]
@@ -152,14 +156,8 @@ def _screen(alpha: np.ndarray, m: int) -> np.ndarray:
         raise InfeasibleScreen(
             f"columns {i} and {j} cover {union[i, j]} rows, more than {m}; wrong batch size?"
         )
-    return ai
-
-
-def build_model(alpha: np.ndarray, m: int) -> IlpModel:
-    """Screen a leaked Gram matrix and wrap it as the model of batch size ``m``."""
-    ai = _screen(alpha, m)
     ai.setflags(write=False)
-    return IlpModel(m=m, d=ai.shape[0], alpha=ai)
+    return IlpModel(m=m, d=d, alpha=ai)
 
 
 def export_model_text(model: IlpModel) -> str:
@@ -195,7 +193,9 @@ def _column_order(alpha: list[list[int]], m: int) -> list[int]:
     few ways to split each row group, so the search fails early (Haralick
     and Elliott, 1980). The smallest running sum of ``log1p`` over the cells
     wins; ties go to the more extreme density, then to the lower index. The
-    screen keeps every cell in [0, m]. O(d^2), once per solve.
+    screen keeps every cell in [0, m]. ``solve`` passes the Gram matrix of
+    the k column classes that ``_fold`` keeps, so this is O(k^2), once per
+    solve (k = d where no column folds).
     """
     d = len(alpha)
     diag = [alpha[i][i] for i in range(d)]
@@ -514,7 +514,7 @@ def enumerate_labels(
         raise ValueError("limit must be at least 1 when given")
     xi = _as_binary_matrix(numkit.as_matrix(x))
     beta_i = np.asarray(beta)
-    beta_i = numkit.round_integral(beta_i.astype(float), tol=1e-9)
+    beta_i = numkit.round_integral(beta_i.astype(float), INTEGRALITY_TOL)
     m, d = xi.shape
     if beta_i.shape != (d,):
         raise numkit.DimensionMismatch(
@@ -605,24 +605,25 @@ def discover_batch_size(
     cap: int = 64,
     limit: int | None = 2,
     deadline: float | None = None,
-) -> tuple[int, list[Solution], SolverStats]:
-    """Smallest feasible batch size and its solutions, scanning upward.
+) -> tuple[IlpModel, list[Solution], SolverStats]:
+    """Model of the smallest feasible batch size and its solutions, scanning upward.
 
     No batch has fewer rows than a column's ones (a diagonal entry) or than
     the rows two columns cover together (``a_ii + a_jj - a_ij``); candidates
-    run from the largest of these up to ``cap``. The screen's size bounds
-    only loosen as the size grows, so alpha is screened once at ``cap``
-    first: what fails there fails at every candidate size. The scan stops at
-    the first size whose search finds a batch or is cut off before it
-    decides (no solution, ``exhausted`` false). Such a size comes back with
-    no solutions, since it may still be the smallest feasible one.
+    run from the largest of these up to ``cap``. Only the screen's size
+    bounds depend on the size, and every candidate meets them, so alpha is
+    screened once, at ``cap``, and each candidate reuses that model. The scan
+    stops at the first size whose search finds a batch or is cut off before
+    it decides (no solution, ``exhausted`` false), and returns that size's
+    model. A cut-off size comes back with no solutions, since it may still
+    be the smallest feasible one.
     """
-    ai = _screen(alpha, cap)
-    diag = np.diag(ai)
-    # The diagonal of this matrix is the diagonal of alpha itself.
-    lower = max(1, int(np.max(diag[:, None] + diag[None, :] - ai)))
+    model = build_model(alpha, cap)
+    diag = np.diag(model.alpha)
+    lower = max(1, int(np.max(diag[:, None] + diag[None, :] - model.alpha)))
     for m in range(lower, cap + 1):
-        solutions, stats = solve(build_model(ai, m), limit=limit, deadline=deadline)
+        model = replace(model, m=m)
+        solutions, stats = solve(model, limit=limit, deadline=deadline)
         if solutions or not stats.exhausted:
-            return m, solutions, stats
+            return model, solutions, stats
     raise InfeasibleScreen(f"no feasible batch size in [{lower}, {cap}]")

@@ -177,6 +177,19 @@ class TestClosedForm:
             attack.closed_form_delta([np.eye(2)], [], np.zeros(2), 0.1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: attack.recover_alpha_beta(
+        [Observation(theta=np.zeros(2), delta=np.zeros(2)),
+         Observation(theta=np.zeros(3), delta=np.zeros(3))], 0.1),
+    lambda: attack.closed_form_params([np.eye(2), np.eye(3)], [np.zeros(2), np.zeros(3)], 0.1),
+    lambda: attack.closed_form_delta([np.eye(2)], [np.zeros(2)], np.zeros(3), 0.1),
+    lambda: attack.gamma_nullity_check([np.ones((2, 3)), np.ones((2, 3))], 0.1),
+], ids=["stack_observations", "closed_form_params", "closed_form_delta", "gamma_nullity"])
+def test_shape_mismatch_rejected(call):
+    with pytest.raises(numkit.DimensionMismatch):
+        call()
+
+
 class TestRecoverGammaEta:
     def test_two_batch_product_structure(self):
         rng = np.random.default_rng(34)

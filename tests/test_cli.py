@@ -174,7 +174,7 @@ class TestAttackCommand:
 
     @pytest.mark.parametrize("config", [
         {"rounds": 6.7}, {"rounds": "6"}, {"lambda": "0.1"}, {"lambda": True},
-        {"seed": 1.9}, {"shuffle": "false"},
+        {"seed": 1.9}, {"shuffle": "false"}, {"lambda": float("nan")},
     ], ids=json.dumps)
     def test_mistyped_config_value_is_a_parse_error(self, runner, tmp_path, config):
         # No value is cast: "false" would load as True and 6.7 as 6 rounds.
@@ -304,6 +304,29 @@ class TestReconstructCommand:
         assert result.exit_code == cli.EXIT_UNVERIFIED
         assert "Unverified: beta[" in result.output
         assert not solution.exists()
+
+    def test_screens_once_per_run(self, runner, tmp_path, monkeypatch):
+        report, _ = self.make_report(runner, tmp_path, m=3, d=5, seed=2)
+        screened = []
+        build = reconstruct.build_model
+
+        def counted_build(alpha, m):
+            screened.append(m)
+            return build(alpha, m)
+
+        monkeypatch.setattr(reconstruct, "build_model", counted_build)
+        for size in (["--m", "3"], ["--discover"]):
+            screened.clear()
+            run_ok(runner, ["reconstruct", str(report), *size, "--out", str(tmp_path / "s.json"),
+                            "--export-model", str(tmp_path / "model.txt")])
+            assert len(screened) == 1, size
+
+    def test_report_that_is_not_json_is_a_usage_error(self, runner, tmp_path):
+        report = tmp_path / "r.json"
+        report.write_text("not json")
+        result = runner.invoke(main, ["reconstruct", str(report), "--m", "2"])
+        assert result.exit_code == cli.EXIT_USAGE
+        assert "cannot parse report" in result.output
 
     def test_requires_m_or_discover(self, runner, tmp_path):
         report, _ = self.make_report(runner, tmp_path, m=2, d=3, seed=9)
@@ -442,6 +465,22 @@ class TestTable1Command:
         result = runner.invoke(main, ["table1", "--grid", "3,5"])
         assert result.exit_code == cli.EXIT_USAGE
 
+    def test_non_positive_grid_rejected(self, runner, tmp_path):
+        result = runner.invoke(main, ["table1", "--grid", "0x5"])
+        assert result.exit_code == cli.EXIT_USAGE
+        assert "positive" in result.output
+
+    def test_undecided_trials_make_a_partial_cell(self, runner, tmp_path):
+        # limit 1 stops each search at its first batch, which decides nothing.
+        out = tmp_path / "grid.json"
+        run_ok(runner, [
+            "table1", "--grid", "3x5", "--trials", "2", "--limit", "1",
+            "--format", "json", "--out", str(out),
+        ])
+        cell = json.loads(out.read_text())["cells"][0]
+        assert cell["trial_statuses"] == [reconstruct.STATUS_LIMIT] * 2
+        assert cell["status"] == "partial"
+
 
 class TestTheoremsCommand:
     def test_passes_with_report(self, runner, tmp_path):
@@ -455,6 +494,13 @@ class TestTheoremsCommand:
             c["nullity"] >= c["required_nullity"] > 0
             for c in doc["nullity_grid"]["cells"]
         )
+
+    def test_failed_check_exits_one(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "EQUIVALENCE_TOL", -1.0)
+        out = tmp_path / "theorems.json"
+        result = runner.invoke(main, ["theorems", "--trials", "2", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "checks failed" in result.output
 
 
 @pytest.mark.parametrize("command, config", [
@@ -481,6 +527,20 @@ def test_bad_config_value_is_a_usage_error(runner, tmp_path, command, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", ["directory", "list"])
+def test_unreadable_config_is_a_usage_error(runner, tmp_path, config):
+    path = tmp_path / "cfg"
+    if config == "directory":
+        path.mkdir()
+    else:
+        path.write_text("[1, 2]")
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, ["simulate", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == cli.EXIT_USAGE, result.output
+    assert "config file" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "table1", "theorems"])
 def test_negative_seed_flag_is_a_usage_error(runner, tmp_path, command):
     out = tmp_path / "out.json"
@@ -494,6 +554,44 @@ def test_rank_correlation_helper():
     assert cli.rank_correlation([1, 2, 3, 4], [2, 4, 6, 8]) == pytest.approx(1.0)
     assert cli.rank_correlation([1, 2, 3, 4], [8, 6, 4, 2]) == pytest.approx(-1.0)
     assert abs(cli.rank_correlation([1, 1, 1], [1, 2, 3])) == 0.0
+
+
+def _loop_rank_correlation(xs, ys):
+    """Reference: average tie ranks and Pearson sums, written out as loops."""
+
+    def ranks(values):
+        order = sorted(range(len(values)), key=lambda i: values[i])
+        out = [0.0] * len(values)
+        i = 0
+        while i < len(order):
+            j = i
+            while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+                j += 1
+            for k in range(i, j + 1):
+                out[order[k]] = (i + j) / 2.0 + 1.0
+            i = j + 1
+        return out
+
+    rx, ry = ranks(xs), ranks(ys)
+    mx, my = sum(rx) / len(rx), sum(ry) / len(ry)
+    cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
+    vx = sum((a - mx) ** 2 for a in rx)
+    vy = sum((b - my) ** 2 for b in ry)
+    return 0.0 if vx == 0.0 or vy == 0.0 else cov / (vx * vy) ** 0.5
+
+
+def test_rank_correlation_matches_loop_reference():
+    # numpy sums in another order, so allow a few float64 ulps of 1.
+    tol = 8 * np.finfo(float).eps
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        n = int(rng.integers(2, 30))
+        xs = rng.integers(0, int(rng.integers(1, 8)), n).astype(float).tolist()
+        ys = rng.random(n).round(int(rng.integers(0, 3))).tolist()
+        got = cli.rank_correlation(xs, ys)
+        assert abs(got - _loop_rank_correlation(xs, ys)) <= tol
+        if len(set(xs)) == 1 or len(set(ys)) == 1:
+            assert got == 0.0
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -551,6 +649,9 @@ EXIT_CASES = {
         "attack", str(edited_transcript(runner, tmp_path, _push_off))]),
     "7-screen": (cli.EXIT_SCREEN, lambda runner, tmp_path: [
         "reconstruct", str(_recovery_5x10(runner, tmp_path)), "--m", "2"]),
+    "7-discover-no-size": (cli.EXIT_SCREEN, lambda runner, tmp_path: [
+        "reconstruct", str(_report(tmp_path, np.eye(3, dtype=int).tolist(), [1, 1, 1])),
+        "--discover", "--max-m", "2"]),
     "8-infeasible": (cli.EXIT_INFEASIBLE, lambda runner, tmp_path: [
         "reconstruct", str(_report(tmp_path, np.eye(3, dtype=int).tolist(), [1, 1, 1])),
         "--m", "2"]),

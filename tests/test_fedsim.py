@@ -310,3 +310,18 @@ def test_observation_nan_rejected(field):
     values[field][1] = np.nan
     with pytest.raises(numkit.NonFinite):
         Observation(**values)
+
+
+@pytest.mark.parametrize("kind, value, ok", [
+    (int, 3, True), (int, 3.0, False), (int, True, False), (int, "3", False),
+    (float, 3, True), (float, 0.5, True), (float, float("nan"), False),
+    (float, True, False), (bool, False, True), (bool, "false", False),
+    (str, "x", True), (str, 1, False),
+])
+def test_config_value_keeps_its_json_type(kind, value, ok):
+    if ok:
+        got = fedsim.config_value({"k": value}, "k", kind)
+        assert type(got) is kind and got == value
+    else:
+        with pytest.raises(ValueError, match="config value 'k' must be"):
+            fedsim.config_value({"k": value}, "k", kind)

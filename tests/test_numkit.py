@@ -161,6 +161,11 @@ class TestRoundIntegral:
         assert info.value.worst_value == pytest.approx(0.4)
         assert info.value.distance == pytest.approx(0.4)
 
+    def test_beyond_int64_is_not_integral(self):
+        # rint(1e30) is 1e30 itself, but no int64 holds it.
+        with pytest.raises(numkit.NotIntegral, match="int64 range"):
+            numkit.round_integral(np.array([1e30]))
+
     def test_vector_input(self):
         assert np.array_equal(
             numkit.round_integral(np.array([1.0, -2.0])), np.array([1, -2])

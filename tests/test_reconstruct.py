@@ -116,6 +116,14 @@ class TestBuildModel:
         with pytest.raises(InfeasibleScreen, match="semidefinite"):
             build_model(alpha, 2)
 
+    @pytest.mark.parametrize("alpha", [
+        [[np.nan]], [[np.inf]], [[1e30]], [[1.0, np.nan], [np.nan, 1.0]], np.zeros((0, 0)), [1, 2],
+    ], ids=["nan", "inf", "beyond_int64", "nan_off_diagonal", "empty", "one_dimensional"])
+    def test_malformed_alpha_screened(self, alpha):
+        # Each is an InfeasibleScreen, not a numpy error or an INT64_MIN count.
+        with pytest.raises(InfeasibleScreen):
+            build_model(np.array(alpha), 3)
+
 
 class TestExport:
     def test_single_sample_model_listing(self):
@@ -278,6 +286,11 @@ class TestSolve:
         model = build_model(np.eye(2, dtype=np.int64), 2)
         with pytest.raises(ValueError, match="deadline"):
             solve(model, deadline=deadline)
+
+    def test_zero_limit_rejected(self):
+        model = build_model(np.eye(2, dtype=np.int64), 2)
+        with pytest.raises(ValueError, match="limit"):
+            solve(model, limit=0)
 
     def test_deep_search_has_no_recursion_ceiling(self):
         # 200 columns: the search is deeper than Python's recursion limit.
@@ -675,6 +688,11 @@ class TestRecoverLabels:
         with pytest.raises(ValueError, match="limit"):
             enumerate_labels(x, x.T @ np.array([1, -1, 1]), limit=limit)
 
+    def test_wrong_beta_length_rejected(self):
+        x = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.int64)
+        with pytest.raises(numkit.DimensionMismatch, match="beta length"):
+            enumerate_labels(x, np.array([1, -1, 1]))
+
     def test_deep_search_has_no_recursion_ceiling(self):
         # 1500 rows is deeper than Python's recursion limit. With every label
         # +1 the walk reaches the last row without backtracking, so this pins
@@ -755,6 +773,12 @@ class TestVerifySolution:
         assert not result.ok
         assert "labels shape" in result.detail
 
+    def test_wrong_batch_shape_reported(self):
+        system = RecoveredSystem(alpha=np.eye(2, dtype=np.int64), beta=np.array([1, 1]))
+        result = verify_solution(np.eye(3, dtype=np.int64), None, system)
+        assert not result.ok
+        assert "shape (3, 3) != alpha shape (2, 2)" in result.detail
+
     def test_fractional_entries_rejected_not_truncated(self):
         xi = np.array([[0.9, 0.0], [0.0, 1.0]])
         system = RecoveredSystem(
@@ -770,16 +794,16 @@ class TestDiscoverBatchSize:
         batch = fedsim.random_batch(rng, 3, 6)
         xi = batch.x.astype(np.int64)
         alpha = xi.T @ xi
-        m, solutions, _ = discover_batch_size(alpha, cap=10)
-        assert m <= 3
+        model, solutions, _ = discover_batch_size(alpha, cap=10)
+        assert model.m <= 3
         system = RecoveredSystem(alpha=alpha, beta=xi.T @ np.ones(3, dtype=np.int64))
         assert verify_solution(solutions[0].x, None, system).ok
 
     def test_pair_union_sets_the_lower_bound(self):
         # Two disjoint columns of three ones need six rows, not three.
         alpha = np.array([[3, 0], [0, 3]], dtype=np.int64)
-        m, solutions, stats = discover_batch_size(alpha, cap=10)
-        assert m == 6
+        model, solutions, stats = discover_batch_size(alpha, cap=10)
+        assert model.m == 6
         assert stats.status == reconstruct.STATUS_UNIQUE
         expected = canonical_rows([[0, 1]] * 3 + [[1, 0]] * 3)
         assert np.array_equal(solutions[0].x, expected)
@@ -797,7 +821,31 @@ class TestDiscoverBatchSize:
         alpha = xi.T @ xi
         diag = np.diag(alpha)
         lower = int(np.max(diag[:, None] + diag[None, :] - alpha))
-        m, solutions, stats = discover_batch_size(alpha, cap=40, limit=1, deadline=0)
-        assert (m, solutions) == (lower, [])
+        model, solutions, stats = discover_batch_size(alpha, cap=40, limit=1, deadline=0)
+        assert (model.m, solutions) == (lower, [])
         assert stats.status == reconstruct.STATUS_LIMIT
         assert not stats.exhausted
+
+    def test_no_feasible_size_below_the_cap(self):
+        # Every pair fits in two rows, but three disjoint columns need three.
+        with pytest.raises(InfeasibleScreen, match=r"no feasible batch size in \[2, 2\]"):
+            discover_batch_size(np.eye(3, dtype=np.int64), cap=2)
+
+    def test_screens_once(self, monkeypatch):
+        screened, searched = [], []
+        build, search = reconstruct.build_model, reconstruct.solve
+
+        def counted_build(alpha, m):
+            screened.append(m)
+            return build(alpha, m)
+
+        def counted_solve(model, **kwargs):
+            searched.append(model.m)
+            return search(model, **kwargs)
+
+        monkeypatch.setattr(reconstruct, "build_model", counted_build)
+        monkeypatch.setattr(reconstruct, "solve", counted_solve)
+        model, solutions, _ = discover_batch_size(np.eye(4, dtype=np.int64), cap=6)
+        assert screened == [6]
+        assert searched == [2, 3, 4]
+        assert model.m == 4 and len(solutions) == 1
