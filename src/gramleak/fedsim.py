@@ -10,6 +10,9 @@ the model point of the round and the aggregate minus its own push.
 
 Every round probes the victim at an independently drawn model point so that
 the recorded observations are in general position; see ``run_training``.
+Since no round depends on another and every push is linear in the model, a
+run is computed as a few stacked products: the gradient and round functions
+take one model ``(d,)`` or a stack of models ``(r, d)``, one per row.
 """
 
 from __future__ import annotations
@@ -132,13 +135,20 @@ def approx_loss(theta: np.ndarray, x: np.ndarray, y: float) -> float:
 
 
 def batch_gradient(batch: Batch, theta: np.ndarray) -> np.ndarray:
-    """Summed gradient of ``approx_loss`` over the batch: X'X theta/4 - X'Y/2."""
-    theta = numkit.as_vector(theta)
-    if theta.shape[0] != batch.width:
+    """Summed gradient of ``approx_loss`` over the batch: X'X theta/4 - X'Y/2.
+
+    ``theta`` is one model ``(d,)`` or a stack of models ``(r, d)``, one per
+    row; the result has its shape, row i the gradient at model i.
+    """
+    theta = numkit.as_vector_or_matrix(theta)
+    if theta.shape[-1] != batch.width:
         raise numkit.DimensionMismatch(
-            f"model length {theta.shape[0]} != feature count {batch.width}"
+            f"model length {theta.shape[-1]} != feature count {batch.width}"
         )
-    return 0.25 * (batch.x.T @ (batch.x @ theta)) - 0.5 * (batch.x.T @ batch.y)
+    grad = (theta @ batch.x.T) @ batch.x
+    grad *= 0.25
+    grad -= 0.5 * (batch.x.T @ batch.y)
+    return grad
 
 
 def sync_round(
@@ -147,10 +157,14 @@ def sync_round(
     """One synchronized round: each party pushes its scaled batch gradient.
 
     Returns the averaged update applied to the model and the per-party pushes.
+    Given a stack of models ``(r, d)``, it runs r independent rounds at once
+    and every result is stacked the same way.
     """
     if not batches_per_party:
         raise ValueError("need at least one party batch")
-    deltas = [learning_rate * batch_gradient(b, theta) for b in batches_per_party]
+    deltas = [batch_gradient(b, theta) for b in batches_per_party]
+    for push in deltas:
+        push *= learning_rate
     new_theta = theta - sum(deltas) / len(deltas)
     return new_theta, deltas
 
@@ -158,13 +172,20 @@ def sync_round(
 def async_local_pass(
     batches: list[Batch], theta: np.ndarray, learning_rate: float
 ) -> np.ndarray:
-    """Sequential per-batch descent; returns start-model minus end-model."""
+    """Sequential per-batch descent; returns start-model minus end-model.
+
+    Given a stack of start models ``(r, d)``, it runs r independent passes
+    over the same batch order and returns their differences stacked.
+    """
     if not batches:
         raise ValueError("need at least one batch")
-    current = numkit.as_vector(theta)
+    start = numkit.as_vector_or_matrix(theta)
+    current = start
     for batch in batches:
-        current = current - learning_rate * batch_gradient(batch, current)
-    return theta - current
+        step = batch_gradient(batch, current)
+        step *= learning_rate
+        current = current - step
+    return np.subtract(start, current, out=current)
 
 
 def random_batch(rng: np.random.Generator, m: int, d: int) -> Batch:
@@ -188,6 +209,14 @@ def run_training(
     cannot supply. The recorded push is the aggregate identity
     ``parties * mean(update) - own push``, exactly what a curious participant
     computes.
+
+    All rounds are computed together. A synchronized run draws its models as
+    one ``(rounds, d)`` block, the same stream as one draw per round, and
+    makes one ``sync_round`` call on the stack. An asynchronized run draws
+    per round, model then permutation, and makes one ``async_local_pass``
+    call per distinct batch order. A row can differ from a round computed
+    alone in its last bits, as a matrix product sums in another order than
+    a matrix-vector product.
     """
     victim_data = list(victim_data)
     if not victim_data:
@@ -208,28 +237,32 @@ def run_training(
         if config.parties != 2:
             raise ValueError("asynchronized runs are two-party only")
     rng = np.random.default_rng(config.seed)
-    observations = []
-    for _ in range(config.rounds):
-        theta = rng.uniform(-1.0, 1.0, size=d)
-        if config.mode == SYNCHRONIZED:
-            new_theta, deltas = sync_round(
-                victim_data + [attacker_data], theta, config.learning_rate
-            )
-            attacker_delta = deltas[-1]
-            aggregate = theta - new_theta
-        else:
-            order = np.arange(len(victim_data))
+    lr = config.learning_rate
+    if config.mode == SYNCHRONIZED:
+        thetas = rng.uniform(-1.0, 1.0, size=(config.rounds, d))
+        new_thetas, deltas = sync_round(victim_data + [attacker_data], thetas, lr)
+        attacker_delta = deltas[-1]
+        leaked = np.subtract(thetas, new_thetas, out=new_thetas)  # the aggregate
+    else:
+        thetas = np.empty((config.rounds, d))
+        rounds_by_order: dict[tuple[int, ...], list[int]] = {}
+        for k in range(config.rounds):
+            thetas[k] = rng.uniform(-1.0, 1.0, size=d)
+            order = range(len(victim_data))
             if config.shuffle:
                 order = rng.permutation(len(victim_data))
-            victim_delta = async_local_pass(
-                [victim_data[i] for i in order], theta, config.learning_rate
+            rounds_by_order.setdefault(tuple(int(i) for i in order), []).append(k)
+        leaked = np.empty_like(thetas)
+        for order, rows in rounds_by_order.items():
+            leaked[rows] = async_local_pass(
+                [victim_data[i] for i in order], thetas[rows], lr
             )
-            attacker_delta = async_local_pass(
-                [attacker_data], theta, config.learning_rate
-            )
-            aggregate = (victim_delta + attacker_delta) / 2.0
-        leaked = config.parties * aggregate - attacker_delta
-        observations.append(Observation(theta=theta, delta=leaked))
+        attacker_delta = async_local_pass([attacker_data], thetas, lr)
+        leaked += attacker_delta
+        leaked /= 2.0  # the aggregate
+    leaked *= config.parties
+    leaked -= attacker_delta
+    observations = [Observation(theta=t, delta=v) for t, v in zip(thetas, leaked)]
     return Transcript(
         observations=tuple(observations),
         config=config,

@@ -51,7 +51,7 @@ class NotIntegral(ArithmeticError):
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFinite(f"array of shape {a.shape} holds NaN or inf")
     return a
 
@@ -71,6 +71,11 @@ def as_vector(values) -> np.ndarray:
     if a.ndim != 1 or a.shape[0] < 1:
         raise DimensionMismatch(f"expected a non-empty 1-D array, got shape {a.shape}")
     return _finite(a)
+
+
+def as_vector_or_matrix(values) -> np.ndarray:
+    """``as_vector`` for a 1-D input, else ``as_matrix``: one vector or a stack of them."""
+    return as_vector(values) if np.ndim(values) == 1 else as_matrix(values)
 
 
 def _eliminate(work: np.ndarray, cols: int, tol: float) -> int:
@@ -111,7 +116,7 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     :class:`RankDeficient` carrying the rank of ``a``.
     """
     a = as_matrix(a)
-    b = as_vector(b) if np.ndim(b) == 1 else as_matrix(b)
+    b = as_vector_or_matrix(b)
     rows, cols = a.shape
     if rows < cols:
         raise DimensionMismatch(f"underdetermined system: {rows} rows for {cols} unknowns")
@@ -149,10 +154,17 @@ def round_integral(m: np.ndarray, tol: float = DEFAULT_INTEGRALITY_TOL) -> np.nd
     Fails with :class:`NotIntegral` if any entry sits further than ``tol``
     from its nearest integer, naming the worst offender, or if any entry is
     too large for an int64; NaN or inf raises :class:`NonFinite`. Accepts
-    arrays of any shape, so it rounds vectors as well as matrices. Every
-    value that gramleak rounds to an integer is rounded here.
+    arrays of any shape, so it rounds vectors as well as matrices, and an
+    empty array gives an empty one. An integer array that fits int64 is
+    converted without passing through float, so no entry above 2**53 moves.
+    Every value that gramleak rounds to an integer is rounded here.
     """
-    a = _finite(np.asarray(m, dtype=float))
+    a = np.asarray(m)
+    if a.dtype.kind in "biu" and np.can_cast(a.dtype, np.int64):
+        return a.astype(np.int64)
+    a = _finite(np.asarray(a, dtype=float))
+    if a.size == 0:
+        return a.astype(np.int64)
     rounded = np.rint(a)
     dist = np.abs(a - rounded)
     worst = int(np.argmax(dist))

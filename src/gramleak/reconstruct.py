@@ -116,8 +116,10 @@ def build_model(alpha: np.ndarray, m: int) -> IlpModel:
     """Screen a leaked Gram matrix and wrap it as the model of batch size ``m``.
 
     A malformed, non-integral or infeasible alpha raises :class:`InfeasibleScreen`.
+    An integer alpha is screened as int64 as it stands; only the eigenvalue
+    check sees it in float.
     """
-    a = np.asarray(alpha, dtype=float)
+    a = np.asarray(alpha)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise InfeasibleScreen(f"alpha must be a non-empty square matrix, got shape {a.shape}")
     if m < 1:
@@ -129,8 +131,9 @@ def build_model(alpha: np.ndarray, m: int) -> IlpModel:
     if not np.array_equal(ai, ai.T):
         raise InfeasibleScreen("alpha is not symmetric")
     d = ai.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.min(np.linalg.eigvalsh(a))) < -PSD_TOL * scale:
+    af = ai.astype(float)
+    scale = max(1.0, float(np.max(np.abs(af))))
+    if float(np.min(np.linalg.eigvalsh(af))) < -PSD_TOL * scale:
         raise InfeasibleScreen("alpha is not positive semidefinite")
     diag = np.diag(ai)
     bad = np.flatnonzero((diag < 0) | (diag > m))
@@ -513,13 +516,13 @@ def enumerate_labels(
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1 when given")
     xi = _as_binary_matrix(numkit.as_matrix(x))
-    beta_i = np.asarray(beta)
-    beta_i = numkit.round_integral(beta_i.astype(float), INTEGRALITY_TOL)
     m, d = xi.shape
+    beta_i = np.asarray(beta)
     if beta_i.shape != (d,):
         raise numkit.DimensionMismatch(
             f"beta length {beta_i.shape} does not match {d} features"
         )
+    beta_i = numkit.round_integral(beta_i, INTEGRALITY_TOL)
     ones = xi.sum(axis=0)
     twice = beta_i + ones
     if np.any(twice & 1) or np.any(twice < 0) or np.any(twice > 2 * ones):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gramleak import fedsim, numkit
+from gramleak import attack, fedsim, numkit
 from gramleak.fedsim import Batch, Observation, TrainingConfig
 
 
@@ -261,6 +261,81 @@ class TestRunTraining:
         config = TrainingConfig(learning_rate=0.1, rounds=1)
         with pytest.raises(numkit.DimensionMismatch):
             fedsim.run_training([victim], attacker, config)
+
+
+def per_round_reference(victims, attacker, config):
+    """One round at a time, as a participant would see them: the loop oracle.
+
+    Returns each round's model and each round's push from the single-model
+    ``sync_round`` or ``async_local_pass``, drawing from the generator in the
+    simulator's order: model, then (shuffled async) permutation.
+    """
+    rng = np.random.default_rng(config.seed)
+    lr, d = config.learning_rate, attacker.width
+    rounds = []
+    for _ in range(config.rounds):
+        theta = rng.uniform(-1.0, 1.0, size=d)
+        if config.mode == fedsim.SYNCHRONIZED:
+            new_theta, deltas = fedsim.sync_round(victims + [attacker], theta, lr)
+            own = deltas[-1]
+            aggregate = theta - new_theta
+        else:
+            order = range(len(victims))
+            if config.shuffle:
+                order = rng.permutation(len(victims))
+            victim = fedsim.async_local_pass([victims[i] for i in order], theta, lr)
+            own = fedsim.async_local_pass([attacker], theta, lr)
+            aggregate = (victim + own) / 2.0
+        rounds.append((theta, config.parties * aggregate - own))
+    return rounds
+
+
+class TestStackedRounds:
+    # Three victim batches have six orders, so each shuffled run of d + 3 >= 8
+    # rounds passes several rounds to one async_local_pass call.
+    RUNS = {
+        "sync": dict(mode=fedsim.SYNCHRONIZED, parties=3),
+        "async": dict(mode=fedsim.ASYNCHRONIZED),
+        "shuffled": dict(mode=fedsim.ASYNCHRONIZED, shuffle=True),
+    }
+
+    @pytest.mark.parametrize("d", [5, 20, 200])
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_matches_per_round_reference(self, run, d):
+        rng = np.random.default_rng(d)
+        kwargs = self.RUNS[run]
+        victims = [fedsim.random_batch(rng, 4, d) for _ in range(2 if run == "sync" else 3)]
+        attacker = fedsim.random_batch(rng, 4, d)
+        config = TrainingConfig(learning_rate=0.1, rounds=d + 3, seed=d + 1, **kwargs)
+        transcript = fedsim.run_training(victims, attacker, config)
+        reference = per_round_reference(victims, attacker, config)
+        for obs, (theta, delta) in zip(transcript.observations, reference, strict=True):
+            assert obs.theta.tobytes() == theta.tobytes()
+            # A stacked product may sum in another order than a single one.
+            assert np.max(np.abs(obs.delta - delta)) <= 1e-12 * np.max(np.abs(delta))
+
+    def test_stacked_sync_run_recovers_exactly_at_d200(self):
+        rng = np.random.default_rng(200)
+        victim = fedsim.random_batch(rng, 4, 200)
+        attacker = fedsim.random_batch(rng, 4, 200)
+        config = TrainingConfig(learning_rate=0.1, rounds=203, seed=5)
+        transcript = fedsim.run_training([victim], attacker, config)
+        system = attack.recover_alpha_beta(list(transcript.observations), 0.1)
+        xi = victim.x.astype(np.int64)
+        assert np.array_equal(system.alpha, xi.T @ xi)
+        assert np.array_equal(system.beta, xi.T @ victim.y.astype(np.int64))
+
+    def test_stack_of_models_is_one_model_per_row(self):
+        rng = np.random.default_rng(21)
+        batch = fedsim.random_batch(rng, 5, 7)
+        thetas = rng.uniform(-1.0, 1.0, size=(4, 7))
+        stacked = fedsim.batch_gradient(batch, thetas)
+        assert stacked.shape == thetas.shape
+        for row, theta in zip(stacked, thetas):
+            single = fedsim.batch_gradient(batch, theta)
+            assert np.max(np.abs(row - single)) <= 1e-12 * np.max(np.abs(single))
+        with pytest.raises(numkit.DimensionMismatch):
+            fedsim.batch_gradient(batch, np.zeros((4, 6)))
 
 
 class TestTranscriptJson:

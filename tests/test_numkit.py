@@ -171,6 +171,15 @@ class TestRoundIntegral:
             numkit.round_integral(np.array([1.0, -2.0])), np.array([1, -2])
         )
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_array_gives_empty_int64(self, shape):
+        out = numkit.round_integral(np.zeros(shape))
+        assert out.dtype == np.int64 and out.shape == shape
+
+    def test_integer_input_does_not_pass_through_float(self):
+        big = np.array([2**53 + 1, -(2**62) - 1], dtype=np.int64)
+        assert np.array_equal(numkit.round_integral(big), big)
+
     def test_float_gram_matches_integer_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(30):

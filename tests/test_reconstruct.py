@@ -124,6 +124,11 @@ class TestBuildModel:
         with pytest.raises(InfeasibleScreen):
             build_model(np.array(alpha), 3)
 
+    def test_integer_alpha_keeps_its_value(self):
+        # 2**53 + 1 has no float64; the message names the count itself.
+        with pytest.raises(InfeasibleScreen, match="= 9007199254740993 outside"):
+            build_model(np.array([[2**53 + 1]]), 3)
+
 
 class TestExport:
     def test_single_sample_model_listing(self):
@@ -692,6 +697,11 @@ class TestRecoverLabels:
         x = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.int64)
         with pytest.raises(numkit.DimensionMismatch, match="beta length"):
             enumerate_labels(x, np.array([1, -1, 1]))
+
+    def test_empty_beta_rejected(self):
+        x = np.array([[1, 0], [0, 1]], dtype=np.int64)
+        with pytest.raises(numkit.DimensionMismatch, match="beta length"):
+            enumerate_labels(x, [])
 
     def test_deep_search_has_no_recursion_ceiling(self):
         # 1500 rows is deeper than Python's recursion limit. With every label
