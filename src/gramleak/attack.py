@@ -41,6 +41,7 @@ class RecoveredSystem:
     beta: np.ndarray  # (d,) int64
     max_integrality_residual: float = 0.0  # worst distance of a solved entry from its integer
     max_fit_residual: float = 0.0  # worst gap between an observed push and the rounded fit
+    max_asymmetry: float = 0.0  # worst gap between a solved Gram entry and its transpose
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def recover_alpha_beta(observations: list[Observation], learning_rate: float) ->
             f"fit residual {residual:.3e} of the rounded system exceeds {bound:.3e}; "
             "an observation outside the pivot rows disagrees with the others"
         )
-    return RecoveredSystem(alpha, beta, integrality, residual)
+    return RecoveredSystem(alpha, beta, integrality, residual, asymmetry)
 
 
 def recover_gamma_eta(observations: list[Observation], learning_rate: float) -> ClosedFormParams:

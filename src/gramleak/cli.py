@@ -188,7 +188,8 @@ def cmd_attack(transcript, out):
                 "alpha": [[int(v) for v in row] for row in fit.alpha],
                 "beta": [int(v) for v in fit.beta],
             }
-            diagnostics = {"max_integrality_residual": fit.max_integrality_residual}
+            diagnostics = {"max_integrality_residual": fit.max_integrality_residual,
+                           "max_asymmetry": fit.max_asymmetry}
             summary = f"recovered integral system of width {d}"
         else:
             fit = attack.recover_gamma_eta(observations, lr)
@@ -208,8 +209,9 @@ def cmd_attack(transcript, out):
     except attack.ResidualTooLarge as exc:
         raise CliError(f"ResidualTooLarge: {exc}", EXIT_RESIDUAL)
     # Recovery raises RankDeficient unless each of the d + 1 design columns
-    # gets a pivot, and numkit.rank runs the same elimination as
-    # solve_linear, so the design of any recovered system has full column rank.
+    # gets a pivot, and solve_linear picks its pivots by the elimination that
+    # numkit.rank runs on the design alone, so the design of any recovered
+    # system has full column rank.
     diagnostics.update(observations=n_obs, design_rank=d + 1,
                        max_fit_residual=fit.max_fit_residual)
     _write_json(out, {**report, "mode": t.config.mode, "lambda": lr, "diagnostics": diagnostics})

@@ -1,13 +1,13 @@
 """Small dense linear-algebra kernel shared by the simulator, attack, and solver.
 
 Matrices are plain 2-D float64 numpy arrays and vectors are 1-D arrays; numpy
-supplies storage and products. Solve and rank share one hand-rolled Gaussian
+supplies storage and products. Rank and solve share one hand-rolled Gaussian
 elimination with partial pivoting, so that rank deficiency, integrality and
 non-finite input surface as typed errors carrying the diagnostics the recovery
-pipeline needs. Solve then back-substitutes every right-hand side at once,
-column by column with elementwise updates, so a block solve gives each column
-bitwise what a solve for that column alone gives. Everything here is a pure
-function over its inputs.
+pipeline needs; its pivots do not depend on the BLAS. Solve then hands the
+pivot rows and every right-hand side to one LAPACK call, whose last bits may
+move with the BLAS build and thread count. Everything here is a pure function
+over its inputs.
 """
 
 from __future__ import annotations
@@ -78,42 +78,48 @@ def as_vector_or_matrix(values) -> np.ndarray:
     return as_vector(values) if np.ndim(values) == 1 else as_matrix(values)
 
 
-def _eliminate(work: np.ndarray, cols: int, tol: float) -> int:
-    """Row-reduce ``work`` in place, pivoting only on its first ``cols`` columns.
+def _eliminate(work: np.ndarray, tol: float) -> np.ndarray:
+    """Row-reduce ``work`` in place by Gaussian elimination with partial pivoting.
 
-    Returns the rank of those columns; with full rank, column c pivots in row c.
+    Returns the pivot rows, as indices into the rows ``work`` had on entry;
+    their count is the rank. Entries below a pivot go stale, as no step reads them.
     """
-    rows = work.shape[0]
-    scale = float(np.max(np.abs(work[:, :cols])))
+    rows, cols = work.shape
+    order = list(range(rows))
+    scale = float(np.abs(work).max())
     if scale == 0.0:
-        return 0
+        return np.array([], dtype=np.intp)
     threshold = tol * scale
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        p = r + int(np.argmax(np.abs(work[r:, c])))
+        p = r + int(np.abs(work[r:, c]).argmax())
         if abs(work[p, c]) < threshold:
             continue
         if p != r:
-            work[[r, p]] = work[[p, r]]
-        factors = work[r + 1 :, c] / work[r, c]
-        work[r + 1 :, c:] -= np.outer(factors, work[r, c:])
+            pivot_row = work[p].copy()
+            work[p] = work[r]
+            work[r] = pivot_row
+            order[r], order[p] = order[p], order[r]
+        block = work[r + 1 :, c + 1 :]
+        block -= np.multiply.outer(work[r + 1 :, c] / work[r, c], work[r, c + 1 :])
         r += 1
-    return r
+    return np.array(order[:r], dtype=np.intp)
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
+    """Solve ``a @ x = b`` on the rows where Gaussian elimination pivots.
 
     ``b`` is one right-hand side or a matrix of them, one per column, and ``x``
-    has its shape; ``[a | b]`` is eliminated once and one back substitution
-    solves for all columns of ``b`` together, each column of ``x`` bitwise
-    equal to a solve for its column of ``b`` alone. ``a`` may have more rows
-    than columns. ``x`` satisfies the pivot equations exactly, so callers that
-    care about inconsistency inspect the residual ``a @ x - b`` themselves. A
-    pivot below ``DEFAULT_PIVOT_TOL`` times the largest entry of ``a`` raises
-    :class:`RankDeficient` carrying the rank of ``a``.
+    has its shape. ``a`` may have more rows than columns. Elimination with
+    partial pivoting of ``a`` alone picks one pivot row per column; a pivot
+    below ``DEFAULT_PIVOT_TOL`` times the largest entry of ``a`` raises
+    :class:`RankDeficient` carrying the rank of ``a``. LAPACK then solves the
+    square system of the pivot rows for all of ``b`` at once; the last bits of
+    ``x`` may move with the BLAS build and thread count. ``x`` fits only the
+    pivot equations, so callers that care about inconsistency inspect the
+    residual ``a @ x - b`` themselves.
     """
     a = as_matrix(a)
     b = as_vector_or_matrix(b)
@@ -122,30 +128,18 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"underdetermined system: {rows} rows for {cols} unknowns")
     if b.shape[0] != rows:
         raise DimensionMismatch(f"rhs length {b.shape[0]} does not match {rows} rows")
-    aug = np.column_stack([a, b])
-    r = _eliminate(aug, cols, DEFAULT_PIVOT_TOL)
-    if r < cols:
+    pivots = _eliminate(a.copy(), DEFAULT_PIVOT_TOL)
+    if pivots.size < cols:
         raise RankDeficient(
-            f"rank {r} below {cols} unknowns (tol {DEFAULT_PIVOT_TOL:.1e})", rank=r
+            f"rank {pivots.size} below {cols} unknowns (tol {DEFAULT_PIVOT_TOL:.1e})",
+            rank=pivots.size,
         )
-    # Column-oriented back substitution over the whole block of right-hand
-    # sides (Golub and Van Loan, Matrix Computations, 3.1): once x[c] is known,
-    # its multiple of column c of the triangle leaves the rows above it. Every
-    # step is elementwise, never a dot product, so each column of the result
-    # is bitwise what solving for it alone gives.
-    u = aug[:cols, :cols]
-    r = aug[:cols, cols:]
-    x = np.empty_like(r)
-    for c in range(cols - 1, -1, -1):
-        x[c] = r[c] / u[c, c]
-        r[:c] -= np.multiply.outer(u[:c, c], x[c])
-    return x[:, 0] if b.ndim == 1 else x
+    return np.linalg.solve(a[pivots], b[pivots])
 
 
 def rank(m: np.ndarray, tol: float = DEFAULT_PIVOT_TOL) -> int:
     """Numeric rank by pivoted elimination with relative tolerance ``tol``."""
-    work = as_matrix(m)
-    return _eliminate(work, work.shape[1], tol)
+    return _eliminate(as_matrix(m), tol).size
 
 
 def round_integral(m: np.ndarray, tol: float = DEFAULT_INTEGRALITY_TOL) -> np.ndarray:

@@ -32,6 +32,11 @@ class TestRecoverAlphaBeta:
         fit = 0.1 * (0.25 * thetas @ alpha - 0.5 * beta)
         assert system.max_fit_residual == float(np.max(np.abs(fit - deltas)))
         assert system.max_fit_residual < 1e-10
+        # The asymmetry is that of the Gram block of the block solve.
+        design = np.column_stack([0.25 * 0.1 * thetas, np.full(len(thetas), -0.5 * 0.1)])
+        gram = numkit.solve_linear(design, deltas).T[:, :8]
+        assert system.max_asymmetry == float(np.max(np.abs(gram - gram.T)))
+        assert system.max_asymmetry < 1e-10
 
     def test_collinear_design_raises(self):
         rng = np.random.default_rng(21)
@@ -48,6 +53,10 @@ class TestRecoverAlphaBeta:
         with pytest.raises(numkit.RankDeficient) as info:
             attack.recover_alpha_beta(list(transcript.observations), 0.1)
         assert info.value.rank == 4
+
+    def test_no_observations_raises(self):
+        with pytest.raises(ValueError, match="at least one observation"):
+            attack.recover_alpha_beta([], 0.1)
 
     def test_single_unit_sample(self):
         rng = np.random.default_rng(23)

@@ -115,11 +115,14 @@ class TestAttackCommand:
         design = np.column_stack([scale * thetas, np.full(len(thetas), -0.5 * lr)])
         assert diagnostics["design_rank"] == numkit.rank(design)
         if mode == "synchronized":
-            raw = np.array([numkit.solve_linear(design, deltas[:, i]) for i in range(6)])
+            raw = numkit.solve_linear(design, deltas).T
             expected = float(np.max(np.abs(raw - np.rint(raw))))
             assert diagnostics["max_integrality_residual"] == expected
+            gram = raw[:, :6]
+            assert diagnostics["max_asymmetry"] == float(np.max(np.abs(gram - gram.T)))
         else:
             assert "max_integrality_residual" not in diagnostics
+            assert "max_asymmetry" not in diagnostics
 
     def test_under_determined_transcript_reports_rank(self, runner, tmp_path):
         transcript = tmp_path / "t.json"

@@ -181,6 +181,10 @@ class TestSyncRound:
         rhs = -(lr * (0.25 * alpha_sum @ theta - 0.5 * beta_sum))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
+    def test_empty_party_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one party"):
+            fedsim.sync_round([], np.zeros(2), 0.1)
+
 
 class TestAsyncLocalPass:
     def test_single_batch_matches_gradient_formula(self):
@@ -371,6 +375,13 @@ def test_transcript_observation_widths_must_agree():
         Observation(theta=np.zeros(2), delta=np.zeros(2)),
     ]
     with pytest.raises(numkit.DimensionMismatch, match="width"):
+        fedsim.Transcript(observations=observations, config=config, ground_truth=())
+
+
+def test_transcript_round_count_must_agree():
+    config = TrainingConfig(learning_rate=0.1, rounds=2)
+    observations = [Observation(theta=np.zeros(3), delta=np.zeros(3))]
+    with pytest.raises(ValueError, match="1 observations for 2 rounds"):
         fedsim.Transcript(observations=observations, config=config, ground_truth=())
 
 

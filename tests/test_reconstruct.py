@@ -789,6 +789,11 @@ class TestVerifySolution:
         assert not result.ok
         assert "shape (3, 3) != alpha shape (2, 2)" in result.detail
 
+    def test_one_dimensional_batch_rejected(self):
+        system = RecoveredSystem(alpha=np.eye(2, dtype=np.int64), beta=np.array([1, 1]))
+        with pytest.raises(numkit.DimensionMismatch, match="2-D batch"):
+            verify_solution(np.array([1, 0]), None, system)
+
     def test_fractional_entries_rejected_not_truncated(self):
         xi = np.array([[0.9, 0.0], [0.0, 1.0]])
         system = RecoveredSystem(
