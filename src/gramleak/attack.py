@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numkit
-from .fedsim import Batch, Observation
+from .fedsim import Observation
 
 RECOVERY_TOL = 1e-8  # relative bound on asymmetry, rounding and fit residual
 NULLITY_FD_STEP = 1e-6  # central-difference step of gamma_nullity_check
@@ -239,25 +239,3 @@ def gamma_nullity_check(alphas: list[np.ndarray], learning_rate: float) -> Nulli
         variable_count=variable_count,
         nullity=variable_count - jac_rank,
     )
-
-
-def multiparty_stack_check(party_batches: list[Batch]) -> bool:
-    """Exact integer check that summed per-party Grams equal the stacked Gram.
-
-    Confirms that k synchronized parties leak the same system as one party
-    holding all rows, so the multi-party aggregate reduces to a bigger batch.
-    """
-    if len(party_batches) < 2:
-        raise ValueError("need at least two parties")
-    d = party_batches[0].width
-    for batch in party_batches:
-        if batch.width != d:
-            raise numkit.DimensionMismatch(
-                f"party batch width {batch.width} != {d}"
-            )
-    total = np.zeros((d, d), dtype=np.int64)
-    for batch in party_batches:
-        xi = batch.x.astype(np.int64)
-        total += xi.T @ xi
-    stacked = np.vstack([batch.x for batch in party_batches]).astype(np.int64)
-    return bool(np.array_equal(total, stacked.T @ stacked))

@@ -354,6 +354,8 @@ def _table1_cell(args: tuple) -> dict:
         "nodes_explored": [s.nodes_explored for s in trial_stats],
         "column_order": [list(s.column_order) for s in trial_stats],
         "nodes_per_column": [list(s.nodes_per_column) for s in trial_stats],
+        "completions_tried": [s.completions_tried for s in trial_stats],
+        "completions_taken": [s.completions_taken for s in trial_stats],
         "trials": trials,
     }
 

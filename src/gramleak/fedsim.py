@@ -120,22 +120,8 @@ class Transcript:
             raise numkit.DimensionMismatch(f"observations differ in width: {widths}")
 
 
-def approx_loss(theta: np.ndarray, x: np.ndarray, y: float) -> float:
-    """Quadratic surrogate loss of one sample: log2 - z*y/2 + z^2/8, z = theta.x."""
-    theta = numkit.as_vector(theta)
-    x = numkit.as_vector(x)
-    if theta.shape != x.shape:
-        raise numkit.DimensionMismatch(
-            f"model length {theta.shape[0]} != sample length {x.shape[0]}"
-        )
-    if y not in (-1.0, 1.0):
-        raise ValueError(f"label must be -1 or +1, got {y!r}")
-    z = float(theta @ x)
-    return math.log(2.0) - 0.5 * z * y + 0.125 * z * z
-
-
 def batch_gradient(batch: Batch, theta: np.ndarray) -> np.ndarray:
-    """Summed gradient of ``approx_loss`` over the batch: X'X theta/4 - X'Y/2.
+    """Summed gradient of the surrogate loss over the batch: X'X theta/4 - X'Y/2.
 
     ``theta`` is one model ``(d,)`` or a stack of models ``(r, d)``, one per
     row; the result has its shape, row i the gradient at model i.

@@ -15,7 +15,11 @@ search therefore branches on how many rows of each pattern group receive a 1
 in the new column, bounded by the ones each count still needs and the rows
 left to take them. This enforces every column-sum and co-occurrence count
 exactly as it goes and yields each row multiset exactly once (canonical,
-permutation-free enumeration). Before the search, ``_fold`` sets aside every
+permutation-free enumeration). Once the placed columns tell the m rows apart
+and, with the all-ones column, have rank m, they fix every unplaced column:
+the search then ends in one linear completion, a float solve of all those
+columns with a certificate that rounding it is exact, which records the one
+batch below the node or prunes it. Before the search, ``_fold`` sets aside every
 column that alpha already fixes as a copy or the complement of an earlier
 column (an equal Gram row, or a complementary one whose two columns cover
 all m rows). On the Gram matrix of any batch the search then walks at most
@@ -46,6 +50,20 @@ from .attack import RecoveredSystem
 
 PSD_TOL = 1e-9
 INTEGRALITY_TOL = 1e-9  # how far a leaked Gram or beta entry may sit from its integer
+
+# Linear completion (``_Search._complete``). A completion costs about as much
+# as COMPLETION_NODES walk nodes, and the walk below a node of m single rows
+# spends at least m + 1 nodes per unplaced column, so it is tried only where
+# that walk is at least this long. Then the bound on ``||I - Y G||`` that
+# certifies rounding, the bound on ``||Y|| m^2 (k + 1)`` for the approximate
+# inverse Y that keeps float error below 1/16 (2^53 / 32), the eigenvalue
+# below which (relative to the largest) a Gram direction counts as null, and
+# the size of ``null' x`` that counts as a rank increase.
+COMPLETION_NODES = 16
+CERTIFICATE_MARGIN = 0.25
+INVERSE_BUDGET = 2.0**48
+RANK_TOL = 1e-9
+NULL_TOL = 1e-6
 
 STATUS_UNIQUE = "unique"
 STATUS_MULTIPLE = "multiple"
@@ -96,6 +114,8 @@ class SolverStats:
     exhausted: bool
     column_order: tuple[int, ...]  # input column indices, in the order placed
     nodes_per_column: tuple[int, ...]  # search nodes per placed column, same order
+    completions_tried: int  # linear completions attempted, one node each
+    completions_taken: int  # of those, the ones that recorded a batch
 
 
 def count_constraints(m: int, d: int) -> int:
@@ -241,26 +261,45 @@ class _Search:
     satisfies all placed constraints exactly and distinct leaves are distinct
     row multisets. Columns and groups are walked with explicit stacks, so the
     depth of the search is not bounded by Python's recursion limit.
-    ``column_nodes[c]`` counts the nodes spent placing column c.
+
+    Once a split leaves m single rows and the k placed columns number at
+    least m - 1, ``_complete`` tries to solve all unplaced columns at once,
+    where the walk it would replace is long enough (``COMPLETION_NODES``):
+    where the placed bits and the all-ones column have rank m, they fix the
+    rest, so the node holds at most one batch, and one certified linear solve
+    records it or prunes the node. Otherwise the walk goes on below it, and a
+    deeper node tries again only once its placed columns have raised that
+    rank to m (``_narrow``). A completion replaces the walk below its node,
+    so solutions come in the same order and only node counts fall.
+    ``column_nodes[c]`` counts the nodes spent placing column c; a completion
+    is one node of the first unplaced column.
     """
 
     def __init__(
-        self, alpha: list[list[int]], m: int, limit: int | None, deadline_at: float | None
+        self, alpha: np.ndarray | list[list[int]], m: int, limit: int | None,
+        deadline_at: float | None,
     ):
-        self.alpha = alpha
+        self.gram = np.asarray(alpha, dtype=np.int64)
+        self.alpha = self.gram.tolist()  # the splits index lists, which is faster
         self.m = m
-        self.d = len(alpha)
+        self.d = len(self.alpha)
         self.limit = limit
         self.deadline_at = deadline_at  # time.perf_counter() reading, or None
         self.solutions: list[tuple[tuple[int, ...], ...]] = []
         self.nodes = 0
         self.column_nodes = [0] * self.d
         self.stopped = False
+        self.completions_tried = 0
+        self.completions_taken = 0
 
     def run(self) -> None:
         # One split generator per placed column; the deepest is resumed, and
         # none is resumed once the search stops, so no node counts after that.
-        walks = [self._splits(0, self.alpha[0], [(self.m, 0, [])])]
+        # ``nulls`` holds, per generator, the left null space of [1 | P] at
+        # the node it splits, once a completion there or above missed rank m.
+        m, d = self.m, self.d
+        walks = [self._splits(0, self.alpha[0], [(m, 0, [])])]
+        nulls: list[list[list[float]] | None] = [None]
         column_nodes = self.column_nodes
         while walks and not self.stopped:
             col = len(walks) - 1
@@ -269,19 +308,92 @@ class _Search:
             column_nodes[col] += self.nodes - before
             if groups is None:
                 walks.pop()
-            elif col + 1 == self.d:
-                self._record(groups)
-            else:
-                walks.append(self._splits(col + 1, self.alpha[col + 1], groups))
+                nulls.pop()
+                continue
+            if col + 1 == d:
+                rows = []
+                for size, pattern, _ in groups:
+                    rows.extend([tuple((pattern >> j) & 1 for j in range(d))] * size)
+                self._record(rows)
+                continue
+            null = nulls[-1]
+            if (len(groups) == m and col + 2 >= m
+                    and (d - col - 1) * (m + 1) >= COMPLETION_NODES):
+                if null is not None:
+                    null = _narrow(null, groups, col)
+                if null is None:
+                    null = self._complete(col + 1, groups)
+                    if null is None:
+                        continue
+            walks.append(self._splits(col + 1, self.alpha[col + 1], groups))
+            nulls.append(null)
 
-    def _record(self, groups: list[tuple[int, int, list[int]]]) -> None:
-        rows = []
-        for size, pattern, _ in groups:
-            row = tuple((pattern >> j) & 1 for j in range(self.d))
-            rows.extend([row] * size)
+    def _record(self, rows: list[tuple[int, ...]]) -> None:
         self.solutions.append(tuple(sorted(rows)))
         if self.limit is not None and len(self.solutions) >= self.limit:
             self.stopped = True
+
+    def _complete(
+        self, k: int, groups: list[tuple[int, int, list[int]]]
+    ) -> list[list[float]] | None:
+        """Solve every unplaced column from the k placed ones, or say why not.
+
+        ``groups`` are the m single rows, row i with placed bits p_i. Each
+        unplaced column x_c must meet ``A x_c = (a_cc, a_0c, ..., a_(k-1)c)``
+        with ``A = [1 | P]'``, (k + 1) x m. If A has rank m, x_c is the one
+        real solution, found for all columns at once from ``G X = C``,
+        ``G = A'A`` and ``C = A'B``, with a float approximate inverse Y of G.
+        ``E = I - Y G`` with ``||E|| <= 1/4`` (infinity norm) proves G
+        nonsingular, and a 0/1 solution x_c then lies within
+        ``|E x_c| <= 1/4`` of ``Y C``, since ``x_c - Y G x_c = E x_c``: so
+        rounding ``Y C`` finds it. G's entries are at most k + 1 and C's at
+        most m (k + 1), so with ``||Y|| m^2 (k + 1) <= 2^48`` the float error
+        of each product stays below 1/16 and the rounded X is still within
+        3/8 of any 0/1 solution. With the bound proven, the
+        node is decided: the rounded X is accepted when it is 0/1 and
+        ``[P | X]' X`` equals alpha's unplaced columns exactly in int64
+        (``A X = B`` and ``X'X`` together), and the node is pruned otherwise.
+        Returns None when decided. Else the walk goes on below the node, and
+        this returns a basis of the left null space of ``[1 | P]``, one list
+        per vector: empty when the bound failed at rank m, so no node below
+        tries again.
+        """
+        m, d = self.m, self.d
+        self.nodes += 1
+        self.column_nodes[k] += 1
+        self.completions_tried += 1
+        # Bit 0 is the all-ones column, bit 1 + l the placed column l.
+        width = (k + 8) // 8
+        raw = b"".join(
+            ((pattern << 1) | 1).to_bytes(width, "little") for _, pattern, _ in groups
+        )
+        a = np.unpackbits(
+            np.frombuffer(raw, np.uint8).reshape(m, width), axis=1, count=k + 1,
+            bitorder="little",
+        )
+        af = a.astype(float)
+        g = af @ af.T
+        try:
+            y = np.linalg.inv(g)
+        except np.linalg.LinAlgError:
+            return _null_space(g)
+        if not np.abs(y).sum(axis=1).max() * m * m * (k + 1) <= INVERSE_BUDGET:
+            return _null_space(g)
+        e = y @ g
+        e.flat[::m + 1] -= 1.0
+        if np.abs(e).sum(axis=1).max() > CERTIFICATE_MARGIN:
+            return _null_space(g)
+        c = af[:, 1:] @ self.gram[:k, k:]
+        c += self.gram.diagonal()[k:]
+        x = np.rint(y @ c)
+        if x.min() >= 0 and x.max() <= 1:
+            full = np.empty((m, d), dtype=np.int64)
+            full[:, :k] = a[:, 1:]
+            full[:, k:] = x
+            if (full.T @ full[:, k:] == self.gram[:, k:]).all():
+                self.completions_taken += 1
+                self._record(list(map(tuple, full.tolist())))
+        return None
 
     def _splits(
         self, col: int, row: list[int], groups: list[tuple[int, int, list[int]]]
@@ -359,6 +471,41 @@ class _Search:
                 stack.pop()
             else:
                 return
+
+
+def _null_space(g: np.ndarray) -> list[list[float]]:
+    """A basis of the null space of the PSD matrix ``g``, one list per vector."""
+    w, v = np.linalg.eigh(g)
+    return v[:, w <= RANK_TOL * w[-1]].T.tolist()
+
+
+def _narrow(
+    null: list[list[float]], groups: list[tuple[int, int, list[int]]], col: int
+) -> list[list[float]] | None:
+    """Left null space of ``[1 | P]`` once column ``col`` joins P, or None.
+
+    ``null`` spans it before; the new column x raises the rank iff some
+    ``n'x`` is not zero, and then the space loses one dimension. None means
+    it may now be trivial, so a completion may hold. Only when a completion
+    is tried depends on this, not what the search finds. Plain Python: it
+    runs at every node below a rank miss, on a few short vectors.
+    """
+    if not null:
+        return null
+    ones = [i for i, (_, pattern, _) in enumerate(groups) if (pattern >> col) & 1]
+    v = [sum([n[i] for i in ones]) for n in null]
+    j = max(range(len(v)), key=lambda i: abs(v[i])) if len(v) > 1 else 0
+    if abs(v[j]) <= NULL_TOL:
+        return null
+    if len(null) == 1:
+        return None
+    # Eliminate against the largest product: each kept vector meets x in 0.
+    narrowed = []
+    for i, n in enumerate(null):
+        if i != j:
+            f = v[i] / v[j]
+            narrowed.append([a - f * b for a, b in zip(n, null[j])])
+    return narrowed
 
 
 def _search_status(found: int, exhausted: bool) -> str:
@@ -446,7 +593,7 @@ def solve(
     reps, cls, flip = _fold(model.alpha, m)
     reduced = model.alpha.take(reps, 0).take(reps, 1)
     order = _column_order(reduced.tolist(), m)
-    permuted = reduced.take(order, 0).take(order, 1).tolist()
+    permuted = reduced.take(order, 0).take(order, 1)
     search = _Search(permuted, m, limit, None if deadline is None else start + deadline)
     search.run()
     # Walk column p is class order[p]; input column j reads the walk column
@@ -473,6 +620,8 @@ def solve(
         exhausted=not search.stopped,
         column_order=tuple(column_order),
         nodes_per_column=tuple(nodes_per_column),
+        completions_tried=search.completions_tried,
+        completions_taken=search.completions_taken,
     )
     return solutions, stats
 

@@ -15,6 +15,8 @@ from gramleak.cli import rank_correlation
 from gramleak.fedsim import TrainingConfig
 from gramleak.reconstruct import build_model, canonical_rows, count_constraints, solve
 
+from helpers import approx_loss, multiparty_stack_check
+
 
 def report(criterion, ok, detail):
     line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}"
@@ -210,10 +212,10 @@ def test_criterion_6_gradient_correctness():
             up[i] += step
             down[i] -= step
             loss_up = sum(
-                fedsim.approx_loss(up, batch.x[k], batch.y[k]) for k in range(m)
+                approx_loss(up, batch.x[k], batch.y[k]) for k in range(m)
             )
             loss_down = sum(
-                fedsim.approx_loss(down, batch.x[k], batch.y[k]) for k in range(m)
+                approx_loss(down, batch.x[k], batch.y[k]) for k in range(m)
             )
             fd[i] = (loss_up - loss_down) / (2.0 * step)
         worst_fd = max(worst_fd, float(np.max(np.abs(grad - fd))))
@@ -246,7 +248,7 @@ def test_criterion_7_multiparty_equivalence():
             ok = np.array_equal(system.alpha, stacked.T @ stacked) and np.array_equal(
                 system.beta, stacked.T @ stacked_y
             )
-            if not (ok and attack.multiparty_stack_check(victims + [attacker])):
+            if not (ok and multiparty_stack_check(victims + [attacker])):
                 failures.append((k, trial))
     report(
         7,

@@ -1,8 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramleak import attack, fedsim, numkit
 from gramleak.fedsim import Observation, TrainingConfig
+
+from helpers import multiparty_stack_check
 
 
 def int_gram(batch):
@@ -325,28 +331,48 @@ class TestGammaNullity:
             )
 
 
+@functools.cache
+def corruptible_observations():
+    """The run of ``test_corrupted_push_never_passes``: 13 rounds, 11 unknowns per entry."""
+    transcript, _ = synchronized_transcript(np.random.default_rng(37), 5, 10, rounds=13, seed=3)
+    return transcript.observations
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 9), st.floats(1e-3, 10.0), st.sampled_from([-1.0, 1.0]))
+def test_corrupted_push_always_raises(k, j, size, sign):
+    # Any round, any entry, any offset of at least 1e-3: a typed error, never
+    # a system.
+    observations = list(corruptible_observations())
+    delta = observations[k].delta.copy()
+    delta[j] += sign * size
+    observations[k] = Observation(theta=observations[k].theta, delta=delta)
+    with pytest.raises((attack.AsymmetryDetected, attack.ResidualTooLarge)):
+        attack.recover_alpha_beta(observations, 0.1)
+
+
 class TestMultipartyStack:
     def test_two_parties(self):
         rng = np.random.default_rng(40)
         parties = [fedsim.random_batch(rng, 3, 4) for _ in range(2)]
-        assert attack.multiparty_stack_check(parties)
+        assert multiparty_stack_check(parties)
 
     def test_three_random_parties(self):
         rng = np.random.default_rng(41)
         parties = [fedsim.random_batch(rng, int(rng.integers(1, 5)), 5) for _ in range(3)]
-        assert attack.multiparty_stack_check(parties)
+        assert multiparty_stack_check(parties)
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(42)
         with pytest.raises(numkit.DimensionMismatch):
-            attack.multiparty_stack_check(
+            multiparty_stack_check(
                 [fedsim.random_batch(rng, 2, 3), fedsim.random_batch(rng, 2, 4)]
             )
 
     def test_single_party_rejected(self):
         rng = np.random.default_rng(43)
         with pytest.raises(ValueError):
-            attack.multiparty_stack_check([fedsim.random_batch(rng, 2, 3)])
+            multiparty_stack_check([fedsim.random_batch(rng, 2, 3)])
 
 
 def test_round_trip_recovery_over_random_configs():

@@ -244,6 +244,8 @@ class TestReconstructCommand:
         assert doc["stats"]["constraints_ordered"] == count_constraints(5, 10)
         assert sorted(doc["stats"]["column_order"]) == list(range(10))
         assert sum(doc["stats"]["nodes_per_column"]) == doc["stats"]["nodes_explored"]
+        stats = doc["stats"]
+        assert 0 <= stats["completions_taken"] <= stats["completions_tried"]
 
     def test_discovery_mode(self, runner, tmp_path):
         report, truth = self.make_report(runner, tmp_path, m=3, d=6, seed=7)
@@ -423,6 +425,9 @@ class TestTable1Command:
         ):
             assert sorted(order) == list(range(5))
             assert len(per_column) == 5 and sum(per_column) == nodes
+        assert len(cell["completions_tried"]) == len(cell["completions_taken"]) == 2
+        for tried, taken in zip(cell["completions_tried"], cell["completions_taken"]):
+            assert 0 <= taken <= tried
 
     def test_parallel_jobs_match_serial(self, runner, tmp_path):
         serial = tmp_path / "serial.csv"

@@ -6,6 +6,8 @@ import pytest
 from gramleak import attack, fedsim, numkit
 from gramleak.fedsim import Batch, Observation, TrainingConfig
 
+from helpers import approx_loss
+
 
 def make_batch(x, y):
     return Batch(x=np.array(x, dtype=float), y=np.array(y, dtype=float))
@@ -55,14 +57,14 @@ class TestApproxLoss:
     def test_zero_model(self):
         theta = np.zeros(3)
         x = np.array([1.0, 0.0, 1.0])
-        assert fedsim.approx_loss(theta, x, 1.0) == pytest.approx(math.log(2.0))
+        assert approx_loss(theta, x, 1.0) == pytest.approx(math.log(2.0))
 
     def test_direct_substitution(self):
         # theta.x = 2 with a positive label: log2 - 1 + 0.5
         theta = np.array([2.0])
         x = np.array([1.0])
         expected = math.log(2.0) - 1.0 + 0.5
-        assert fedsim.approx_loss(theta, x, 1.0) == pytest.approx(expected)
+        assert approx_loss(theta, x, 1.0) == pytest.approx(expected)
 
     def test_label_symmetry_cancels_linear_term(self):
         rng = np.random.default_rng(5)
@@ -71,16 +73,16 @@ class TestApproxLoss:
             theta = rng.uniform(-2.0, 2.0, d)
             x = rng.integers(0, 2, d).astype(float)
             z = float(theta @ x)
-            total = fedsim.approx_loss(theta, x, 1.0) + fedsim.approx_loss(theta, x, -1.0)
+            total = approx_loss(theta, x, 1.0) + approx_loss(theta, x, -1.0)
             assert total == pytest.approx(2.0 * math.log(2.0) + 0.25 * z * z)
 
     def test_rejects_bad_label(self):
         with pytest.raises(ValueError):
-            fedsim.approx_loss(np.zeros(2), np.zeros(2), 0.5)
+            approx_loss(np.zeros(2), np.zeros(2), 0.5)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(numkit.DimensionMismatch):
-            fedsim.approx_loss(np.zeros(2), np.zeros(3), 1.0)
+            approx_loss(np.zeros(2), np.zeros(3), 1.0)
 
 
 def loop_gradient(batch, theta):
@@ -100,8 +102,8 @@ def finite_difference_gradient(batch, theta, step=1e-5):
         down = theta.copy()
         up[i] += step
         down[i] -= step
-        loss_up = sum(fedsim.approx_loss(up, batch.x[k], batch.y[k]) for k in range(batch.size))
-        loss_down = sum(fedsim.approx_loss(down, batch.x[k], batch.y[k]) for k in range(batch.size))
+        loss_up = sum(approx_loss(up, batch.x[k], batch.y[k]) for k in range(batch.size))
+        loss_down = sum(approx_loss(down, batch.x[k], batch.y[k]) for k in range(batch.size))
         grad[i] = (loss_up - loss_down) / (2.0 * step)
     return grad
 

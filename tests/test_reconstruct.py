@@ -38,6 +38,31 @@ def brute_force_matches(alpha, m, d):
     return out
 
 
+def brute_force_by_columns(alpha, m):
+    """Oracle: all canonical binary matrices with the given Gram matrix.
+
+    Column j takes ``alpha[j, j]`` ones in every possible set of rows, and
+    is kept when its counts with the earlier columns match. Column 0 takes
+    the first rows only, as rows may be permuted freely.
+    """
+    d = len(alpha)
+    out = set()
+
+    def extend(cols):
+        j = len(cols)
+        if j == d:
+            out.add(tuple(map(tuple, canonical_rows(np.array(cols).T))))
+            return
+        picks = itertools.combinations(range(m), int(alpha[j, j])) if j else [range(alpha[0, 0])]
+        for ones in picks:
+            col = [int(i in ones) for i in range(m)]
+            if all(np.dot(col, cols[l]) == alpha[j, l] for l in range(j)):
+                extend(cols + [col])
+
+    extend([])
+    return out
+
+
 class TestCountConstraints:
     def test_reference_value(self):
         assert count_constraints(3, 5) == 145
@@ -306,11 +331,29 @@ class TestSolve:
         assert np.array_equal(solutions[0].x, canonical_rows(xi))
 
 
-def identity_order_search(alpha, m, limit=None):
+class WalkOnly(reconstruct._Search):
+    """The search with its linear completion switched off: the reference walk.
+
+    Every completion reports a full-rank miss without counting a node, so
+    no node below it tries again and the walk places every column.
+    """
+
+    def _complete(self, k, groups):
+        return []
+
+
+def identity_order_search(alpha, m, limit=None, search=reconstruct._Search):
     """The search with its columns walked in input order: the reference for solve."""
-    search = reconstruct._Search(np.asarray(alpha).tolist(), m, limit, None)
-    search.run()
-    return search
+    walk = search(np.asarray(alpha), m, limit, None)
+    walk.run()
+    return walk
+
+
+def walk_only_solve(model, limit=None):
+    """``solve`` with the reference walk in place of ``_Search``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reconstruct, "_Search", WalkOnly)
+        return solve(model, limit=limit)
 
 
 def walk_digest(batches):
@@ -318,64 +361,68 @@ def walk_digest(batches):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# (seed, rows drawn, batch size solved, d, limit) -> nodes_explored, status,
-# exhausted, and a digest of the solutions in order. Seed 86 one row short is
-# infeasible. IDENTITY_ORDER_WALKS were recorded with the earlier recursive
-# search, whose columns went in input order: the search itself must not
-# change. GOLDEN_SEARCHES walk all d columns in fail-first order, as ``solve``
-# did before it folded copies and complements; seed 87 at 16x30 took 497 918
-# nodes in input order. FOLDED_SEARCHES are what ``solve`` walks: the same
-# solutions, fewer nodes wherever a column folds. Seeds 88 and 89 are wide
-# cells: each split there meets the counts of up to 199 placed columns.
+# (seed, rows drawn, batch size solved, d, limit) -> nodes_explored of the
+# plain walk (``WalkOnly``; the test id carries it), status, exhausted, a
+# digest of the solutions in order, and last the nodes_explored of the search
+# with linear completion. Completion replaces the walk below a node with one
+# node, so both searches find the same solutions in the same order. Seed 86
+# one row short is infeasible. IDENTITY_ORDER_WALKS were recorded with the
+# earlier recursive search, whose columns went in input order: the plain walk
+# must not change. GOLDEN_SEARCHES walk all d columns in fail-first order, as
+# ``solve`` did before it folded copies and complements; seed 87 at 16x30
+# took 497 918 nodes in input order. FOLDED_SEARCHES are what ``solve``
+# walks: the same solutions, fewer nodes wherever a column folds. Seeds 88 and
+# 89 are wide cells: each split there meets the counts of up to 199 placed
+# columns.
 IDENTITY_ORDER_WALKS = [
-    ((70, 3, 3, 5, None), (17, "unique", True, "5a225fc940af52a2")),
-    ((71, 5, 5, 10, None), (53, "unique", True, "1e26187773e6b065")),
-    ((72, 5, 5, 10, 1), (62, "limit_reached", False, "572457da3a214a64")),
-    ((73, 8, 8, 5, None), (62, "multiple", True, "85a40f3748975d6f")),
-    ((74, 8, 8, 10, 2), (103, "unique", True, "f39c39879666b97a")),
-    ((75, 9, 9, 5, 2), (80, "multiple", False, "e83a40473bdd4ebe")),
-    ((76, 9, 9, 15, 2), (164, "unique", True, "a356dec4559ce052")),
-    ((77, 11, 11, 5, None), (57, "multiple", True, "19b8c8c7d8285c26")),
-    ((78, 11, 11, 10, 1), (210, "limit_reached", False, "07c36e6b7819d3bd")),
-    ((79, 11, 11, 20, 2), (8885, "unique", True, "0f5c69fc1427b9b3")),
-    ((80, 11, 11, 15, None), (750, "unique", True, "2b10756ae5c784f7")),
-    ((86, 6, 5, 8, None), (27, "infeasible", True, "4f53cda18c2baa0c")),
-    ((88, 3, 3, 100, 2), (395, "unique", True, "9ce962a375af7d9d")),
-    ((89, 4, 4, 200, 2), (994, "unique", True, "ae0bd281949a39fe")),
+    ((70, 3, 3, 5, None), (17, "unique", True, "5a225fc940af52a2", 17)),
+    ((71, 5, 5, 10, None), (53, "unique", True, "1e26187773e6b065", 16)),
+    ((72, 5, 5, 10, 1), (62, "limit_reached", False, "572457da3a214a64", 20)),
+    ((73, 8, 8, 5, None), (62, "multiple", True, "85a40f3748975d6f", 62)),
+    ((74, 8, 8, 10, 2), (103, "unique", True, "f39c39879666b97a", 56)),
+    ((75, 9, 9, 5, 2), (80, "multiple", False, "e83a40473bdd4ebe", 80)),
+    ((76, 9, 9, 15, 2), (164, "unique", True, "a356dec4559ce052", 96)),
+    ((77, 11, 11, 5, None), (57, "multiple", True, "19b8c8c7d8285c26", 57)),
+    ((78, 11, 11, 10, 1), (210, "limit_reached", False, "07c36e6b7819d3bd", 210)),
+    ((79, 11, 11, 20, 2), (8885, "unique", True, "0f5c69fc1427b9b3", 8564)),
+    ((80, 11, 11, 15, None), (750, "unique", True, "2b10756ae5c784f7", 595)),
+    ((86, 6, 5, 8, None), (27, "infeasible", True, "4f53cda18c2baa0c", 18)),
+    ((88, 3, 3, 100, 2), (395, "unique", True, "9ce962a375af7d9d", 12)),
+    ((89, 4, 4, 200, 2), (994, "unique", True, "ae0bd281949a39fe", 18)),
 ]
 GOLDEN_SEARCHES = [
-    ((70, 3, 3, 5, None), (16, "unique", True, "5a225fc940af52a2")),
-    ((71, 5, 5, 10, None), (47, "unique", True, "1e26187773e6b065")),
-    ((72, 5, 5, 10, 1), (46, "limit_reached", False, "572457da3a214a64")),
-    ((73, 8, 8, 5, None), (47, "multiple", True, "6be5cc16cb9d004a")),
-    ((74, 8, 8, 10, 2), (104, "unique", True, "f39c39879666b97a")),
-    ((75, 9, 9, 5, 2), (41, "multiple", False, "a808a8048dfc0b65")),
-    ((76, 9, 9, 15, 2), (153, "unique", True, "a356dec4559ce052")),
-    ((77, 11, 11, 5, None), (34, "multiple", True, "4b2fb2e85049baed")),
-    ((78, 11, 11, 10, 1), (153, "limit_reached", False, "07c36e6b7819d3bd")),
-    ((79, 11, 11, 20, 2), (477, "unique", True, "0f5c69fc1427b9b3")),
-    ((80, 11, 11, 15, None), (323, "unique", True, "2b10756ae5c784f7")),
-    ((86, 6, 5, 8, None), (7, "infeasible", True, "4f53cda18c2baa0c")),
-    ((87, 16, 16, 30, None), (4599, "unique", True, "bfe52dc7e2c2af03")),
-    ((88, 3, 3, 100, 2), (331, "unique", True, "9ce962a375af7d9d")),
-    ((89, 4, 4, 200, 2), (842, "unique", True, "ae0bd281949a39fe")),
+    ((70, 3, 3, 5, None), (16, "unique", True, "5a225fc940af52a2", 16)),
+    ((71, 5, 5, 10, None), (47, "unique", True, "1e26187773e6b065", 22)),
+    ((72, 5, 5, 10, 1), (46, "limit_reached", False, "572457da3a214a64", 46)),
+    ((73, 8, 8, 5, None), (47, "multiple", True, "6be5cc16cb9d004a", 47)),
+    ((74, 8, 8, 10, 2), (104, "unique", True, "f39c39879666b97a", 56)),
+    ((75, 9, 9, 5, 2), (41, "multiple", False, "a808a8048dfc0b65", 41)),
+    ((76, 9, 9, 15, 2), (153, "unique", True, "a356dec4559ce052", 88)),
+    ((77, 11, 11, 5, None), (34, "multiple", True, "4b2fb2e85049baed", 34)),
+    ((78, 11, 11, 10, 1), (153, "limit_reached", False, "07c36e6b7819d3bd", 153)),
+    ((79, 11, 11, 20, 2), (477, "unique", True, "0f5c69fc1427b9b3", 224)),
+    ((80, 11, 11, 15, None), (323, "unique", True, "2b10756ae5c784f7", 186)),
+    ((86, 6, 5, 8, None), (7, "infeasible", True, "4f53cda18c2baa0c", 7)),
+    ((87, 16, 16, 30, None), (4599, "unique", True, "bfe52dc7e2c2af03", 2585)),
+    ((88, 3, 3, 100, 2), (331, "unique", True, "9ce962a375af7d9d", 132)),
+    ((89, 4, 4, 200, 2), (842, "unique", True, "ae0bd281949a39fe", 281)),
 ]
 FOLDED_SEARCHES = [
-    ((70, 3, 3, 5, None), (13, "unique", True, "5a225fc940af52a2")),
-    ((71, 5, 5, 10, None), (34, "unique", True, "1e26187773e6b065")),
-    ((72, 5, 5, 10, 1), (23, "limit_reached", False, "572457da3a214a64")),
-    ((73, 8, 8, 5, None), (47, "multiple", True, "6be5cc16cb9d004a")),
-    ((74, 8, 8, 10, 2), (104, "unique", True, "f39c39879666b97a")),
-    ((75, 9, 9, 5, 2), (41, "multiple", False, "a808a8048dfc0b65")),
-    ((76, 9, 9, 15, 2), (144, "unique", True, "a356dec4559ce052")),
-    ((77, 11, 11, 5, None), (34, "multiple", True, "4b2fb2e85049baed")),
-    ((78, 11, 11, 10, 1), (153, "limit_reached", False, "07c36e6b7819d3bd")),
-    ((79, 11, 11, 20, 2), (461, "unique", True, "0f5c69fc1427b9b3")),
-    ((80, 11, 11, 15, None), (323, "unique", True, "2b10756ae5c784f7")),
-    ((86, 6, 5, 8, None), (7, "infeasible", True, "4f53cda18c2baa0c")),
-    ((87, 16, 16, 30, None), (4599, "unique", True, "bfe52dc7e2c2af03")),
-    ((88, 3, 3, 100, 2), (11, "unique", True, "9ce962a375af7d9d")),
-    ((89, 4, 4, 200, 2), (35, "unique", True, "ae0bd281949a39fe")),
+    ((70, 3, 3, 5, None), (13, "unique", True, "5a225fc940af52a2", 13)),
+    ((71, 5, 5, 10, None), (34, "unique", True, "1e26187773e6b065", 15)),
+    ((72, 5, 5, 10, 1), (23, "limit_reached", False, "572457da3a214a64", 23)),
+    ((73, 8, 8, 5, None), (47, "multiple", True, "6be5cc16cb9d004a", 47)),
+    ((74, 8, 8, 10, 2), (104, "unique", True, "f39c39879666b97a", 56)),
+    ((75, 9, 9, 5, 2), (41, "multiple", False, "a808a8048dfc0b65", 41)),
+    ((76, 9, 9, 15, 2), (144, "unique", True, "a356dec4559ce052", 79)),
+    ((77, 11, 11, 5, None), (34, "multiple", True, "4b2fb2e85049baed", 34)),
+    ((78, 11, 11, 10, 1), (153, "limit_reached", False, "07c36e6b7819d3bd", 153)),
+    ((79, 11, 11, 20, 2), (461, "unique", True, "0f5c69fc1427b9b3", 224)),
+    ((80, 11, 11, 15, None), (323, "unique", True, "2b10756ae5c784f7", 186)),
+    ((86, 6, 5, 8, None), (7, "infeasible", True, "4f53cda18c2baa0c", 7)),
+    ((87, 16, 16, 30, None), (4599, "unique", True, "bfe52dc7e2c2af03", 2585)),
+    ((88, 3, 3, 100, 2), (11, "unique", True, "9ce962a375af7d9d", 11)),
+    ((89, 4, 4, 200, 2), (35, "unique", True, "ae0bd281949a39fe", 14)),
 ]
 
 
@@ -387,15 +434,16 @@ def golden_gram(seed, rows, d):
 @pytest.mark.parametrize("case, expected", IDENTITY_ORDER_WALKS, ids=lambda v: str(v[0]))
 def test_search_walk_matches_recording(case, expected):
     seed, rows, m, d, limit = case
-    search = identity_order_search(golden_gram(seed, rows, d), m, limit)
-    exhausted = not search.stopped
-    status = reconstruct._search_status(len(search.solutions), exhausted)
-    got = (search.nodes, status, exhausted, walk_digest(search.solutions))
-    assert got == expected
-    assert sum(search.column_nodes) == search.nodes
+    walk_nodes, *outcome, completed_nodes = expected
+    for search, nodes in ((WalkOnly, walk_nodes), (reconstruct._Search, completed_nodes)):
+        walk = identity_order_search(golden_gram(seed, rows, d), m, limit, search)
+        exhausted = not walk.stopped
+        status = reconstruct._search_status(len(walk.solutions), exhausted)
+        assert (walk.nodes, status, exhausted, walk_digest(walk.solutions)) == (nodes, *outcome)
+        assert sum(walk.column_nodes) == walk.nodes
 
 
-def fail_first_search(alpha, m, limit=None):
+def fail_first_search(alpha, m, limit=None, search=reconstruct._Search):
     """All d columns walked in ``_column_order``, nothing folded.
 
     Returns the search and its solutions read back in input column order,
@@ -403,32 +451,37 @@ def fail_first_search(alpha, m, limit=None):
     """
     alpha = np.asarray(alpha)
     order = reconstruct._column_order(alpha.tolist(), m)
-    search = reconstruct._Search(alpha[np.ix_(order, order)].tolist(), m, limit, None)
-    search.run()
-    found = np.array(search.solutions, dtype=np.int64).reshape(-1, m, len(order))
+    walk = search(alpha[np.ix_(order, order)], m, limit, None)
+    walk.run()
+    found = np.array(walk.solutions, dtype=np.int64).reshape(-1, m, len(order))
     batches = sorted(sorted(map(tuple, rows)) for rows in found[:, :, np.argsort(order)].tolist())
-    return search, batches
+    return walk, batches
 
 
 @pytest.mark.parametrize("case, expected", GOLDEN_SEARCHES, ids=lambda v: str(v[0]))
 def test_solve_walk_matches_recording(case, expected):
     seed, rows, m, d, limit = case
-    search, batches = fail_first_search(golden_gram(seed, rows, d), m, limit)
-    exhausted = not search.stopped
-    status = reconstruct._search_status(len(batches), exhausted)
-    assert (search.nodes, status, exhausted, walk_digest(batches)) == expected
-    assert sum(search.column_nodes) == search.nodes
+    walk_nodes, *outcome, completed_nodes = expected
+    for search, nodes in ((WalkOnly, walk_nodes), (reconstruct._Search, completed_nodes)):
+        walk, batches = fail_first_search(golden_gram(seed, rows, d), m, limit, search)
+        exhausted = not walk.stopped
+        status = reconstruct._search_status(len(batches), exhausted)
+        assert (walk.nodes, status, exhausted, walk_digest(batches)) == (nodes, *outcome)
+        assert sum(walk.column_nodes) == walk.nodes
 
 
 @pytest.mark.parametrize("case, expected", FOLDED_SEARCHES, ids=lambda v: str(v[0]))
 def test_folded_solve_walk_matches_recording(case, expected):
     seed, rows, m, d, limit = case
-    solutions, stats = solve(build_model(golden_gram(seed, rows, d), m), limit=limit)
-    digest = walk_digest([s.x for s in solutions])
-    assert (stats.nodes_explored, stats.status, stats.exhausted, digest) == expected
-    assert sorted(stats.column_order) == list(range(d))
-    assert len(stats.nodes_per_column) == d
-    assert sum(stats.nodes_per_column) == stats.nodes_explored
+    walk_nodes, *outcome, completed_nodes = expected
+    model = build_model(golden_gram(seed, rows, d), m)
+    for run, nodes in ((walk_only_solve, walk_nodes), (solve, completed_nodes)):
+        solutions, stats = run(model, limit=limit)
+        digest = walk_digest([s.x for s in solutions])
+        assert (stats.nodes_explored, stats.status, stats.exhausted, digest) == (nodes, *outcome)
+        assert sorted(stats.column_order) == list(range(d))
+        assert len(stats.nodes_per_column) == d
+        assert sum(stats.nodes_per_column) == stats.nodes_explored
 
 
 def test_column_order_is_fail_first():
@@ -469,6 +522,123 @@ def test_column_order_keeps_solution_sets():
             compared += 1
             infeasible += stats.status == reconstruct.STATUS_INFEASIBLE
     assert compared >= 300 and infeasible >= 10
+
+
+def dependent_rows(rng, m, d):
+    """A 0/1 batch whose rows 2 and 3 are ``a | b`` and ``a & b`` of rows 0 and 1.
+
+    ``a + b = (a | b) + (a & b)`` on every column, the all-ones column too,
+    so ``[1 | X]`` has rank below m on any set of columns: no completion can
+    fix the rest, on the path to this batch or to any batch with such rows.
+    """
+    x = rng.integers(0, 2, (m, d)).astype(np.int64)
+    x[2] = x[0] | x[1]
+    x[3] = x[0] & x[1]
+    return x
+
+
+class TestLinearCompletion:
+    @pytest.mark.parametrize("gate", [reconstruct.COMPLETION_NODES, 0], ids=["gated", "always"])
+    def test_sets_match_the_reference_walk(self, monkeypatch, gate):
+        # With and without the cost gate, so small cells complete too.
+        # Duplicate and dependent rows, and batch sizes one off the truth.
+        monkeypatch.setattr(reconstruct, "COMPLETION_NODES", gate)
+        rng = np.random.default_rng(90)
+        compared = tried = taken = 0
+        for m, d in [(5, 5), (6, 8), (8, 10), (9, 12), (11, 15), (12, 20), (14, 24), (16, 30)]:
+            for trial in range(5):
+                if trial == 2:
+                    x = dependent_rows(rng, m, d)
+                else:
+                    x = rng.integers(0, 2, (m, d)).astype(np.int64)
+                if trial == 1:
+                    x[1:3] = x[0]
+                for size in (m - 1, m, m + 1):
+                    try:
+                        model = build_model(gram_of(x), size)
+                    except InfeasibleScreen:
+                        continue
+                    solutions, stats = solve(model)
+                    reference, walked = walk_only_solve(model)
+                    assert stats.exhausted and walked.exhausted
+                    assert stats.status == walked.status
+                    assert [s.x.tolist() for s in solutions] == [s.x.tolist() for s in reference]
+                    # A completion is one node in place of the walk below it.
+                    assert stats.nodes_explored <= walked.nodes_explored + stats.completions_tried
+                    assert walked.completions_tried == 0
+                    compared += 1
+                    tried += stats.completions_tried
+                    taken += stats.completions_taken
+        assert compared >= 40 and taken >= 20 and tried > taken
+
+    def test_limited_walks_keep_their_order(self, monkeypatch):
+        # A completion records its batch where the walk below would have, so
+        # a search stopped by its limit returns the same first solutions.
+        monkeypatch.setattr(reconstruct, "COMPLETION_NODES", 0)
+        rng = np.random.default_rng(91)
+        for _ in range(60):
+            m = int(rng.integers(3, 10))
+            d = int(rng.integers(m, 14))
+            alpha = gram_of(rng.integers(0, 2, (m, d)))
+            for limit in (1, 2, 3):
+                completed = identity_order_search(alpha, m, limit)
+                walked = identity_order_search(alpha, m, limit, WalkOnly)
+                assert completed.solutions == walked.solutions
+                assert completed.stopped == walked.stopped
+
+    def test_unique_wide_cell_completes_to_the_truth(self):
+        x = fedsim.random_batch(np.random.default_rng(87), 16, 30).x.astype(np.int64)
+        solutions, stats = solve(build_model(gram_of(x), 16))
+        assert stats.status == reconstruct.STATUS_UNIQUE
+        assert (stats.completions_tried, stats.completions_taken) == (1, 1)
+        assert np.array_equal(solutions[0].x, canonical_rows(x))
+
+    def test_poor_inverse_falls_back_to_the_walk(self, monkeypatch):
+        # Half the inverse leaves ||I - Y G|| = 1/2: the certificate fails,
+        # nothing is rounded, and the walk below finds the batch.
+        inverse = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda g: 0.5 * inverse(g))
+        x = fedsim.random_batch(np.random.default_rng(87), 16, 30).x.astype(np.int64)
+        solutions, stats = solve(build_model(gram_of(x), 16))
+        assert stats.status == reconstruct.STATUS_UNIQUE
+        assert stats.completions_tried >= 1 and stats.completions_taken == 0
+        assert np.array_equal(solutions[0].x, canonical_rows(x))
+
+    def test_rank_miss_matches_brute_force(self, monkeypatch):
+        # Rows a, b, a | b, a & b and two more: every completion on the way
+        # to the batch misses rank 6, and the walk finds it.
+        monkeypatch.setattr(reconstruct, "COMPLETION_NODES", 0)
+        rng = np.random.default_rng(92)
+        missed = 0
+        for _ in range(40):
+            alpha = gram_of(dependent_rows(rng, 6, 8))
+            solutions, stats = solve(build_model(alpha, 6))
+            if not stats.completions_tried:
+                continue  # rows alike on the first columns: no completion applies
+            got = {tuple(map(tuple, s.x)) for s in solutions}
+            assert got == brute_force_by_columns(alpha, 6)
+            assert stats.exhausted
+            if stats.status == reconstruct.STATUS_UNIQUE:
+                # The one batch has the dependent rows, so nothing completes to it.
+                assert stats.completions_taken == 0
+            missed += 1
+            if missed == 5:
+                break
+        assert missed == 5
+
+    @pytest.mark.parametrize("m, d", [(12, 24), (16, 30)])
+    def test_rank_miss_is_not_retried_below(self, m, d):
+        # After a miss, a deeper node tries again only once its columns raise
+        # the rank, which the true batch's columns never do.
+        rng = np.random.default_rng([93, m])
+        for _ in range(3):
+            model = build_model(gram_of(dependent_rows(rng, m, d)), m)
+            solutions, stats = solve(model, limit=2)
+            reference, walked = walk_only_solve(model, limit=2)
+            assert [s.x.tolist() for s in solutions] == [s.x.tolist() for s in reference]
+            assert stats.status == walked.status == reconstruct.STATUS_UNIQUE
+            assert stats.completions_taken == 0
+            assert stats.completions_tried <= 2
 
 
 def batch_with_fixed_columns(rng, m, d):
