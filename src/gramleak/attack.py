@@ -5,9 +5,9 @@ point, ``delta = lr * (alpha @ theta / 4 - beta / 2)`` with ``alpha = X'X``
 and ``beta = X'Y``, so stacking enough observations and solving row by row
 recovers (alpha, beta) exactly after integer validation and a check that the
 rounded system fits every push. Asynchronized rounds expose the analogous
-affine pair (gamma, eta) of the sequential multi-batch pass, which this module
-can also evaluate in closed form and probe for its solution-manifold
-dimension.
+affine pair (gamma, eta) of the sequential multi-batch pass; this module also
+evaluates it in closed form and measures the solution-manifold dimension of
+gamma from its exact Jacobian in the batch Gram matrices.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from . import numkit
 from .fedsim import Observation
 
 RECOVERY_TOL = 1e-8  # relative bound on asymmetry, rounding and fit residual
-NULLITY_FD_STEP = 1e-6  # central-difference step of gamma_nullity_check
-NULLITY_RANK_TOL = 1e-8  # relative pivot bound of its Jacobian rank
 
 
 class AsymmetryDetected(ArithmeticError):
@@ -154,8 +152,12 @@ def closed_form_params(
     ``gamma = I - M_n ... M_1`` and
     ``eta = sum_i (M_n ... M_{i+1}) beta_i + beta_n``.
     """
+    if not (0 <= learning_rate < np.inf):
+        raise ValueError(f"learning rate must be non-negative and finite, got {learning_rate!r}")
     if not alphas or len(alphas) != len(betas):
         raise ValueError("need matching non-empty alpha and beta lists")
+    alphas = [numkit.as_matrix(a) for a in alphas]
+    betas = [numkit.as_vector(b) for b in betas]
     d = alphas[0].shape[0]
     for a, b in zip(alphas, betas):
         if a.shape != (d, d) or b.shape != (d,):
@@ -163,16 +165,16 @@ def closed_form_params(
                 f"inconsistent shapes {a.shape} / {b.shape} for width {d}"
             )
     identity = np.eye(d)
-    factors = [identity - 0.25 * learning_rate * np.asarray(a, dtype=float) for a in alphas]
+    factors = [identity - 0.25 * learning_rate * a for a in alphas]
     product = identity
     for factor in factors:
         product = factor @ product
     gamma = identity - product
-    eta = np.asarray(betas[-1], dtype=float).copy()
+    eta = betas[-1]
     suffix = identity
     for i in range(len(alphas) - 2, -1, -1):
         suffix = suffix @ factors[i + 1]
-        eta += suffix @ np.asarray(betas[i], dtype=float)
+        eta += suffix @ betas[i]
     return ClosedFormParams(gamma=gamma, eta=eta, learning_rate=learning_rate)
 
 
@@ -192,50 +194,46 @@ def closed_form_delta(
     return params.gamma @ theta - 0.5 * learning_rate * params.eta
 
 
+def _gamma_jacobian(alphas: list[np.ndarray], learning_rate: float) -> np.ndarray:
+    """Exact Jacobian of ``gamma.ravel()`` by the upper-triangle entries of each alpha.
+
+    Block t is ``lr/4 * kron(L_t, R_t^T)`` with ``L_t = M_n ... M_(t+1)`` and
+    ``R_t = M_(t-1) ... M_1``; an off-diagonal entry adds columns ij and ji.
+    """
+    d = alphas[0].shape[0]
+    factors = [np.eye(d) - 0.25 * learning_rate * a for a in alphas]
+    rights = [np.eye(d)]
+    for factor in factors[:-1]:
+        rights.append(factor @ rights[-1])
+    i, j = np.triu_indices(d)
+    blocks, left = [], np.eye(d)
+    for factor, right in zip(factors[::-1], rights[::-1]):
+        block = np.kron(left, right.T)
+        blocks.insert(0, block[:, i * d + j] + block[:, j * d + i] * (i != j))
+        left = left @ factor
+    return 0.25 * learning_rate * np.hstack(blocks)
+
+
 def gamma_nullity_check(alphas: list[np.ndarray], learning_rate: float) -> NullityCheck:
     """Local dimension of the solution manifold of the gamma equation.
 
     Treats gamma as a map from the symmetric parameters of (alpha_1..alpha_n)
-    to d^2 outputs, differentiates it by central differences of step
-    ``NULLITY_FD_STEP`` at the given point, and reports (numeric Jacobian
-    rank, parameter count, nullity).
+    to d^2 outputs, takes its exact Jacobian at the given point, and reports
+    (Jacobian rank by :func:`numkit.rank`, parameter count, nullity).
     n*d*(d+1)/2 parameters against d^2 outputs leave a positive-dimensional
     local solution set whenever n >= 2, which the nullity makes measurable.
     """
-    n = len(alphas)
-    if n < 2:
+    if not (0 <= learning_rate < np.inf):
+        raise ValueError(f"learning rate must be non-negative and finite, got {learning_rate!r}")
+    if len(alphas) < 2:
         raise ValueError("need at least two batches for the nullity check")
+    alphas = [numkit.as_matrix(a) for a in alphas]
     d = alphas[0].shape[0]
-    mats = np.array([np.asarray(a, dtype=float) for a in alphas])
-    if mats.shape != (n, d, d):
+    if any(a.shape != (d, d) for a in alphas):
         raise numkit.DimensionMismatch(f"alphas must all be {d}x{d}")
-    for a in mats:
+    for a in alphas:
         if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
             raise ValueError("every alpha must be symmetric")
-
-    zero_betas = [np.zeros(d)] * n
-
-    def gamma_flat(stack: np.ndarray) -> np.ndarray:
-        return closed_form_params(list(stack), zero_betas, learning_rate).gamma.ravel()
-
-    upper = [(i, j) for i in range(d) for j in range(i, d)]
-    variable_count = n * len(upper)
-    jacobian = np.empty((d * d, variable_count))
-    col = 0
-    for t in range(n):
-        for i, j in upper:
-            plus = mats.copy()
-            minus = mats.copy()
-            plus[t, i, j] += NULLITY_FD_STEP
-            minus[t, i, j] -= NULLITY_FD_STEP
-            if i != j:
-                plus[t, j, i] += NULLITY_FD_STEP
-                minus[t, j, i] -= NULLITY_FD_STEP
-            jacobian[:, col] = (gamma_flat(plus) - gamma_flat(minus)) / (2.0 * NULLITY_FD_STEP)
-            col += 1
-    jac_rank = numkit.rank(jacobian, NULLITY_RANK_TOL)
-    return NullityCheck(
-        jacobian_rank=jac_rank,
-        variable_count=variable_count,
-        nullity=variable_count - jac_rank,
-    )
+    jacobian = _gamma_jacobian(alphas, learning_rate)
+    jac_rank = numkit.rank(jacobian)
+    return NullityCheck(jac_rank, jacobian.shape[1], jacobian.shape[1] - jac_rank)

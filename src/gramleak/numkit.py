@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_PIVOT_TOL = 1e-10  # relative pivot bound of solve_linear, and rank's default
-DEFAULT_INTEGRALITY_TOL = 1e-6
+DEFAULT_PIVOT_TOL = 1e-10  # relative pivot bound of every elimination: solve_linear and rank
 INT64_BOUND = 2.0**63  # no int64 holds a value of this magnitude or more
 
 
@@ -78,10 +77,11 @@ def as_vector_or_matrix(values) -> np.ndarray:
     return as_vector(values) if np.ndim(values) == 1 else as_matrix(values)
 
 
-def _eliminate(work: np.ndarray, tol: float) -> np.ndarray:
+def _eliminate(work: np.ndarray) -> np.ndarray:
     """Row-reduce ``work`` in place by Gaussian elimination with partial pivoting.
 
-    Returns the pivot rows, as indices into the rows ``work`` had on entry;
+    A column whose best pivot is below ``DEFAULT_PIVOT_TOL`` times the largest entry
+    is skipped. Returns the pivot rows, as indices into the rows ``work`` had on entry;
     their count is the rank. Entries below a pivot go stale, as no step reads them.
     """
     rows, cols = work.shape
@@ -89,7 +89,7 @@ def _eliminate(work: np.ndarray, tol: float) -> np.ndarray:
     scale = float(np.abs(work).max())
     if scale == 0.0:
         return np.array([], dtype=np.intp)
-    threshold = tol * scale
+    threshold = DEFAULT_PIVOT_TOL * scale
     r = 0
     for c in range(cols):
         if r == rows:
@@ -128,7 +128,7 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"underdetermined system: {rows} rows for {cols} unknowns")
     if b.shape[0] != rows:
         raise DimensionMismatch(f"rhs length {b.shape[0]} does not match {rows} rows")
-    pivots = _eliminate(a.copy(), DEFAULT_PIVOT_TOL)
+    pivots = _eliminate(a.copy())
     if pivots.size < cols:
         raise RankDeficient(
             f"rank {pivots.size} below {cols} unknowns (tol {DEFAULT_PIVOT_TOL:.1e})",
@@ -137,12 +137,12 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a[pivots], b[pivots])
 
 
-def rank(m: np.ndarray, tol: float = DEFAULT_PIVOT_TOL) -> int:
-    """Numeric rank by pivoted elimination with relative tolerance ``tol``."""
-    return _eliminate(as_matrix(m), tol).size
+def rank(m: np.ndarray) -> int:
+    """Numeric rank: the pivot count of the elimination that ``solve_linear`` runs."""
+    return _eliminate(as_matrix(m)).size
 
 
-def round_integral(m: np.ndarray, tol: float = DEFAULT_INTEGRALITY_TOL) -> np.ndarray:
+def round_integral(m: np.ndarray, tol: float) -> np.ndarray:
     """Round every entry to the nearest integer, returning an int64 array.
 
     Fails with :class:`NotIntegral` if any entry sits further than ``tol``

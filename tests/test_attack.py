@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gramleak import attack, fedsim, numkit
 from gramleak.fedsim import Observation, TrainingConfig
 
-from helpers import multiparty_stack_check
+from helpers import difference_gamma_jacobian, difference_nullity_check, multiparty_stack_check
 
 
 def int_gram(batch):
@@ -205,6 +205,27 @@ def test_shape_mismatch_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("call, reads_betas", [
+    (lambda alphas, betas, lr: attack.closed_form_params(alphas, betas, lr).gamma, True),
+    (lambda alphas, betas, lr: attack.closed_form_delta(alphas, betas, [1.0, -1.0], lr), True),
+    (lambda alphas, betas, lr: np.array(attack.gamma_nullity_check(alphas, lr)), False),
+], ids=["closed_form_params", "closed_form_delta", "gamma_nullity"])
+def test_closed_form_inputs_checked(call, reads_betas):
+    alphas = [[[2.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 3.0]]]
+    betas = [[1.0, -1.0], [0.0, 2.0]]
+    as_arrays = call([np.array(a) for a in alphas], [np.array(b) for b in betas], 0.1)
+    assert np.array_equal(call(alphas, betas, 0.1), as_arrays)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(numkit.NonFinite, match=r"shape \(2, 2\)"):
+            call([alphas[0], [[bad, 0.0], [0.0, 1.0]]], betas, 0.1)
+        if reads_betas:
+            with pytest.raises(numkit.NonFinite, match=r"shape \(2,\)"):
+                call(alphas, [betas[0], [bad, 0.0]], 0.1)
+    for rate in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning rate"):
+            call(alphas, betas, rate)
+
+
 class TestRecoverGammaEta:
     def test_two_batch_product_structure(self):
         rng = np.random.default_rng(34)
@@ -319,6 +340,24 @@ class TestGammaNullity:
             [np.zeros((d, d)), np.zeros((d, d))], 0.1
         )
         assert check.jacobian_rank == d * (d + 1) // 2
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_difference_oracle_on_theorems_grid(self, seed):
+        # The grid of `gramleak theorems --seed S`; seed 4 is acceptance criterion 4's.
+        for n in (2, 3):
+            for d in (2, 3, 4):
+                for point in range(5):
+                    rng = np.random.default_rng([seed, n, d, point])
+                    alphas = []
+                    for _ in range(n):
+                        raw = rng.uniform(0.0, 2.0, (d, d))
+                        alphas.append((raw + raw.T) / 2.0)
+                    exact = attack._gamma_jacobian(alphas, 0.1)
+                    differences = difference_gamma_jacobian(alphas, 0.1)
+                    assert np.max(np.abs(exact - differences)) <= 1e-7 * np.max(np.abs(exact))
+                    assert attack.gamma_nullity_check(alphas, 0.1) == difference_nullity_check(
+                        alphas, 0.1
+                    )
 
     def test_requires_two_batches(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gramleak import cli, fedsim, numkit, reconstruct
+from gramleak import attack, cli, fedsim, numkit, reconstruct
 from gramleak.cli import main
 from gramleak.reconstruct import canonical_rows, count_constraints
 
@@ -509,6 +509,19 @@ class TestTheoremsCommand:
         result = runner.invoke(main, ["theorems", "--trials", "2", "--out", str(out)])
         assert result.exit_code == 1, result.output
         assert "checks failed" in result.output
+
+    def test_failed_nullity_exits_one(self, runner, monkeypatch):
+        real = attack.gamma_nullity_check
+
+        def no_nullity_for_three_batches_of_two(alphas, learning_rate):
+            check = real(alphas, learning_rate)
+            return check._replace(nullity=0) if (len(alphas), len(alphas[0])) == (3, 2) else check
+
+        monkeypatch.setattr(attack, "gamma_nullity_check", no_nullity_for_three_batches_of_two)
+        result = runner.invoke(main, ["theorems", "--trials", "2", "--seed", "7"])
+        assert result.exit_code == 1, result.output
+        failing = ", ".join(f"[7, 3, 2, {point}]" for point in range(5))
+        assert f"checks failed for seeds [{failing}]" in result.output
 
 
 @pytest.mark.parametrize("command, config", [
