@@ -58,8 +58,12 @@ class NullityCheck(NamedTuple):
     nullity: int
 
 
-def _stack_observations(observations: list[Observation]) -> tuple[np.ndarray, np.ndarray]:
+def _stack_observations(
+    observations: list[Observation], learning_rate: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Model points and pushes as rows; a width-d system needs d+1 of them."""
+    if not (0 < learning_rate < np.inf):
+        raise ValueError(f"learning rate must be positive and finite, got {learning_rate!r}")
     if not observations:
         raise ValueError("need at least one observation")
     d = observations[0].theta.shape[0]
@@ -91,7 +95,7 @@ def recover_alpha_beta(observations: list[Observation], learning_rate: float) ->
     magnitude, as in :func:`recover_gamma_eta`; failures mean the transcript
     did not come from a fixed-batch synchronized binary run.
     """
-    thetas, deltas = _stack_observations(observations)
+    thetas, deltas = _stack_observations(observations, learning_rate)
     n_obs, d = thetas.shape
     design = np.column_stack(
         [0.25 * learning_rate * thetas, np.full(n_obs, -0.5 * learning_rate)]
@@ -129,7 +133,7 @@ def recover_gamma_eta(observations: list[Observation], learning_rate: float) -> 
     magnitude. A large residual means no single affine map explains the rounds,
     which is exactly what the shuffle defense (or changing victim data) causes.
     """
-    thetas, deltas = _stack_observations(observations)
+    thetas, deltas = _stack_observations(observations, learning_rate)
     n_obs, d = thetas.shape
     design = np.column_stack([thetas, np.full(n_obs, -0.5 * learning_rate)])
     solved = numkit.solve_linear(design, deltas).T

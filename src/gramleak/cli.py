@@ -166,7 +166,7 @@ def cmd_simulate(config_path, batch_size, features, batches, parties, rounds, mo
 def _read_transcript(path: str) -> fedsim.Transcript:
     try:
         return fedsim.load_transcript(Path(path).read_text())
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"cannot parse transcript {path}: {exc}", EXIT_USAGE)
 
 
@@ -202,8 +202,8 @@ def cmd_attack(transcript, out):
             summary = f"recovered affine pass parameters of width {d}"
     except numkit.RankDeficient as exc:
         raise CliError(f"RankDeficient: {exc}", EXIT_RANK_DEFICIENT)
-    except numkit.NotIntegral as exc:
-        raise CliError(f"NotIntegral: {exc}", EXIT_NOT_INTEGRAL)
+    except (numkit.NotIntegral, numkit.NonFinite) as exc:
+        raise CliError(f"{type(exc).__name__}: {exc}", EXIT_NOT_INTEGRAL)
     except attack.AsymmetryDetected as exc:
         raise CliError(f"AsymmetryDetected: {exc}", EXIT_ASYMMETRY)
     except attack.ResidualTooLarge as exc:

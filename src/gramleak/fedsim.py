@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,12 +291,12 @@ _JSON_KINDS = {int: "an integer", float: "a finite number", bool: "true or false
 def config_value(config: dict, key: str, kind: type):
     """``config[key]``, which must already have ``kind``'s JSON type, else a ValueError.
 
-    An int passes as a float, a float must be finite, and true and false are
-    not numbers: no string is parsed and no fraction is truncated.
+    An int passes as a float if a float can hold it, a float must be finite,
+    and true and false are not numbers: no string is parsed or fraction truncated.
     """
     value = config[key]
     if kind is float:
-        ok = type(value) in (int, float) and math.isfinite(value)
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
     else:
         ok = type(value) is kind
     if not ok:

@@ -119,7 +119,7 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     square system of the pivot rows for all of ``b`` at once; the last bits of
     ``x`` may move with the BLAS build and thread count. ``x`` fits only the
     pivot equations, so callers that care about inconsistency inspect the
-    residual ``a @ x - b`` themselves.
+    residual ``a @ x - b`` themselves. An inf or NaN in ``x`` raises :class:`NonFinite`.
     """
     a = as_matrix(a)
     b = as_vector_or_matrix(b)
@@ -134,7 +134,7 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"rank {pivots.size} below {cols} unknowns (tol {DEFAULT_PIVOT_TOL:.1e})",
             rank=pivots.size,
         )
-    return np.linalg.solve(a[pivots], b[pivots])
+    return _finite(np.linalg.solve(a[pivots], b[pivots]))
 
 
 def rank(m: np.ndarray) -> int:

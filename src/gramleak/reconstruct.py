@@ -19,15 +19,16 @@ permutation-free enumeration). Once the placed columns tell the m rows apart
 and, with the all-ones column, have rank m, they fix every unplaced column:
 the search then ends in one linear completion, a float solve of all those
 columns with a certificate that rounding it is exact, which records the one
-batch below the node or prunes it. Before the search, ``_fold`` sets aside every
-column that alpha already fixes as a copy or the complement of an earlier
-column (an equal Gram row, or a complementary one whose two columns cover
-all m rows). On the Gram matrix of any batch the search then walks at most
-min(d, 2^(m-1)) class representatives, so its cost follows the column
+batch below the node or prunes it; after a miss, the rows' dependencies mod 2,
+kept as bit masks, say when to try again. Before the search, ``_fold`` sets
+aside every column that alpha already fixes as a copy or the complement of an
+earlier column (an equal Gram row, or a complementary one whose two columns
+cover all m rows). On the Gram matrix of any batch the search then walks at
+most min(d, 2^(m-1)) class representatives, so its cost follows the column
 classes, not d. Columns are placed fail-first: once per solve,
 ``_column_order`` puts the most constrained representatives first, and the
-solutions are expanded to every input column in input order, canonicalized
-and sorted, so exhaustive output does not depend on the order of the walk.
+solutions are expanded to every input column in input order, canonicalized and
+sorted, so exhaustive output does not depend on the order of the walk.
 
 Labels complete the picture: with ``z = (y + 1) / 2`` a sign labeling y is
 one more 0/1 column of the batch, whose co-occurrence counts with X are
@@ -55,15 +56,11 @@ INTEGRALITY_TOL = 1e-9  # how far a leaked Gram or beta entry may sit from its i
 # as COMPLETION_NODES walk nodes, and the walk below a node of m single rows
 # spends at least m + 1 nodes per unplaced column, so it is tried only where
 # that walk is at least this long. Then the bound on ``||I - Y G||`` that
-# certifies rounding, the bound on ``||Y|| m^2 (k + 1)`` for the approximate
-# inverse Y that keeps float error below 1/16 (2^53 / 32), the eigenvalue
-# below which (relative to the largest) a Gram direction counts as null, and
-# the size of ``null' x`` that counts as a rank increase.
+# certifies rounding, and the bound on ``||Y|| m^2 (k + 1)`` for the
+# approximate inverse Y that keeps float error below 1/16 (2^53 / 32).
 COMPLETION_NODES = 16
 CERTIFICATE_MARGIN = 0.25
 INVERSE_BUDGET = 2.0**48
-RANK_TOL = 1e-9
-NULL_TOL = 1e-6
 
 STATUS_UNIQUE = "unique"
 STATUS_MULTIPLE = "multiple"
@@ -268,11 +265,11 @@ class _Search:
     where the placed bits and the all-ones column have rank m, they fix the
     rest, so the node holds at most one batch, and one certified linear solve
     records it or prunes the node. Otherwise the walk goes on below it, and a
-    deeper node tries again only once its placed columns have raised that
-    rank to m (``_narrow``). A completion replaces the walk below its node,
-    so solutions come in the same order and only node counts fall.
-    ``column_nodes[c]`` counts the nodes spent placing column c; a completion
-    is one node of the first unplaced column.
+    deeper node tries again only once its placed columns leave the rows no
+    dependency mod 2, which proves rank m (``_narrow``). A completion replaces
+    the walk below its node, so solutions come in the same order and only
+    node counts fall. ``column_nodes[c]`` counts the nodes spent placing
+    column c; a completion is one node of the first unplaced column.
     """
 
     def __init__(
@@ -295,11 +292,11 @@ class _Search:
     def run(self) -> None:
         # One split generator per placed column; the deepest is resumed, and
         # none is resumed once the search stops, so no node counts after that.
-        # ``nulls`` holds, per generator, the left null space of [1 | P] at
-        # the node it splits, once a completion there or above missed rank m.
+        # ``nulls`` holds, per generator, the dependencies mod 2 among the rows
+        # of [1 | P] at the node it splits, once a completion there or above missed.
         m, d = self.m, self.d
         walks = [self._splits(0, self.alpha[0], [(m, 0, [])])]
-        nulls: list[list[list[float]] | None] = [None]
+        nulls: list[list[int] | None] = [None]
         column_nodes = self.column_nodes
         while walks and not self.stopped:
             col = len(walks) - 1
@@ -319,7 +316,7 @@ class _Search:
             null = nulls[-1]
             if (len(groups) == m and col + 2 >= m
                     and (d - col - 1) * (m + 1) >= COMPLETION_NODES):
-                if null is not None:
+                if null:
                     null = _narrow(null, groups, col)
                 if null is None:
                     null = self._complete(col + 1, groups)
@@ -335,7 +332,7 @@ class _Search:
 
     def _complete(
         self, k: int, groups: list[tuple[int, int, list[int]]]
-    ) -> list[list[float]] | None:
+    ) -> list[int] | None:
         """Solve every unplaced column from the k placed ones, or say why not.
 
         ``groups`` are the m single rows, row i with placed bits p_i. Each
@@ -349,24 +346,23 @@ class _Search:
         rounding ``Y C`` finds it. G's entries are at most k + 1 and C's at
         most m (k + 1), so with ``||Y|| m^2 (k + 1) <= 2^48`` the float error
         of each product stays below 1/16 and the rounded X is still within
-        3/8 of any 0/1 solution. With the bound proven, the
-        node is decided: the rounded X is accepted when it is 0/1 and
-        ``[P | X]' X`` equals alpha's unplaced columns exactly in int64
-        (``A X = B`` and ``X'X`` together), and the node is pruned otherwise.
-        Returns None when decided. Else the walk goes on below the node, and
-        this returns a basis of the left null space of ``[1 | P]``, one list
-        per vector: empty when the bound failed at rank m, so no node below
-        tries again.
+        3/8 of any 0/1 solution. With the bound proven, the node is decided:
+        the rounded X is accepted when it is 0/1 and ``[P | X]' X`` equals
+        alpha's unplaced columns exactly in int64 (``A X = B`` and ``X'X``
+        together), and the node is pruned otherwise. Returns None when
+        decided. Else the walk goes on below the node, and this returns the
+        dependencies mod 2 among the rows of ``[1 | P]``: empty means rank m
+        (a rational dependency scaled to coprime integers is not zero mod 2)
+        with the bound failed, so no node below tries again.
         """
         m, d = self.m, self.d
         self.nodes += 1
         self.column_nodes[k] += 1
         self.completions_tried += 1
         # Bit 0 is the all-ones column, bit 1 + l the placed column l.
+        rows = [(pattern << 1) | 1 for _, pattern, _ in groups]
         width = (k + 8) // 8
-        raw = b"".join(
-            ((pattern << 1) | 1).to_bytes(width, "little") for _, pattern, _ in groups
-        )
+        raw = b"".join(row.to_bytes(width, "little") for row in rows)
         a = np.unpackbits(
             np.frombuffer(raw, np.uint8).reshape(m, width), axis=1, count=k + 1,
             bitorder="little",
@@ -376,13 +372,13 @@ class _Search:
         try:
             y = np.linalg.inv(g)
         except np.linalg.LinAlgError:
-            return _null_space(g)
+            return _dependencies(rows)
         if not np.abs(y).sum(axis=1).max() * m * m * (k + 1) <= INVERSE_BUDGET:
-            return _null_space(g)
+            return _dependencies(rows)
         e = y @ g
         e.flat[::m + 1] -= 1.0
         if np.abs(e).sum(axis=1).max() > CERTIFICATE_MARGIN:
-            return _null_space(g)
+            return _dependencies(rows)
         c = af[:, 1:] @ self.gram[:k, k:]
         c += self.gram.diagonal()[k:]
         x = np.rint(y @ c)
@@ -473,39 +469,36 @@ class _Search:
                 return
 
 
-def _null_space(g: np.ndarray) -> list[list[float]]:
-    """A basis of the null space of the PSD matrix ``g``, one list per vector."""
-    w, v = np.linalg.eigh(g)
-    return v[:, w <= RANK_TOL * w[-1]].T.tolist()
+def _dependencies(rows: list[int]) -> list[int]:
+    """A basis of the dependencies mod 2 among ``rows``, as row masks, by XOR elimination."""
+    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (reduced row, row mask)
+    deps = []
+    for i, v in enumerate(rows):
+        mask = 1 << i
+        while v and v.bit_length() in pivots:
+            w, used = pivots[v.bit_length()]
+            v, mask = v ^ w, mask ^ used
+        if v:
+            pivots[v.bit_length()] = v, mask
+        else:
+            deps.append(mask)
+    return deps
 
 
 def _narrow(
-    null: list[list[float]], groups: list[tuple[int, int, list[int]]], col: int
-) -> list[list[float]] | None:
-    """Left null space of ``[1 | P]`` once column ``col`` joins P, or None.
+    null: list[int], groups: list[tuple[int, int, list[int]]], col: int
+) -> list[int] | None:
+    """The dependencies ``null`` among the rows of ``[1 | P]`` once column ``col`` joins P.
 
-    ``null`` spans it before; the new column x raises the rank iff some
-    ``n'x`` is not zero, and then the space loses one dimension. None means
-    it may now be trivial, so a completion may hold. Only when a completion
-    is tried depends on this, not what the search finds. Plain Python: it
-    runs at every node below a rank miss, on a few short vectors.
+    One survives iff it meets the new column in an even number of rows, and
+    adding the first odd one to each other odd one makes that even. None means
+    none is left, so a completion may hold; an empty ``null`` stays empty.
     """
-    if not null:
+    x = sum(1 << i for i, (_, pattern, _) in enumerate(groups) if pattern >> col & 1)
+    odd = [n for n in null if (n & x).bit_count() & 1]
+    if not odd:
         return null
-    ones = [i for i, (_, pattern, _) in enumerate(groups) if (pattern >> col) & 1]
-    v = [sum([n[i] for i in ones]) for n in null]
-    j = max(range(len(v)), key=lambda i: abs(v[i])) if len(v) > 1 else 0
-    if abs(v[j]) <= NULL_TOL:
-        return null
-    if len(null) == 1:
-        return None
-    # Eliminate against the largest product: each kept vector meets x in 0.
-    narrowed = []
-    for i, n in enumerate(null):
-        if i != j:
-            f = v[i] / v[j]
-            narrowed.append([a - f * b for a, b in zip(n, null[j])])
-    return narrowed
+    return [n ^ odd[0] if n in odd else n for n in null if n != odd[0]] or None
 
 
 def _search_status(found: int, exhausted: bool) -> str:

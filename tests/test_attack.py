@@ -226,6 +226,18 @@ def test_closed_form_inputs_checked(call, reads_betas):
             call(alphas, betas, rate)
 
 
+@pytest.mark.parametrize("recover", [attack.recover_alpha_beta, attack.recover_gamma_eta],
+                         ids=["alpha_beta", "gamma_eta"])
+@pytest.mark.parametrize("rate", [-0.1, 0.0, np.nan, np.inf])
+def test_recovery_rejects_a_rate_that_training_rejects(recover, rate):
+    # A negative rate would return the negated leak, and zero a rank error.
+    transcript, _ = synchronized_transcript(np.random.default_rng(25), 3, 4, rounds=6)
+    with pytest.raises(ValueError, match=f"learning rate must be positive and finite, got {rate}"):
+        recover(list(transcript.observations), rate)
+    with pytest.raises(ValueError, match="learning_rate must be positive"):
+        TrainingConfig(learning_rate=rate)
+
+
 class TestRecoverGammaEta:
     def test_two_batch_product_structure(self):
         rng = np.random.default_rng(34)

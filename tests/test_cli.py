@@ -1,9 +1,15 @@
+import copy
 import csv
+import functools
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gramleak import attack, cli, fedsim, numkit, reconstruct
 from gramleak.cli import main
@@ -215,6 +221,19 @@ class TestAttackCommand:
         result = runner.invoke(main, ["attack", str(transcript)])
         assert result.exit_code == cli.EXIT_USAGE
         assert "differ in width" in result.output
+
+    @pytest.mark.parametrize("rate", ["1e-310", "1e-320"])
+    def test_rate_below_float_precision_reports_non_finite(self, runner, tmp_path, rate):
+        # A positive rate whose design entries are subnormal: the solve overflows.
+        transcript, report = tmp_path / "t.json", tmp_path / "r.json"
+        run_ok(runner, [
+            "simulate", "--m", "3", "--d", "4", "--rounds", "7", "--seed", "1",
+            "--lambda", rate, "--out", str(transcript),
+        ])
+        result = runner.invoke(main, ["attack", str(transcript), "--out", str(report)])
+        assert result.exit_code == cli.EXIT_NOT_INTEGRAL, result.output
+        assert "NonFinite:" in result.output
+        assert not report.exists()
 
 
 class TestReconstructCommand:
@@ -548,6 +567,29 @@ def test_bad_config_value_is_a_usage_error(runner, tmp_path, command, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["config", "lambda", "theta"])
+def test_integer_beyond_float_is_a_usage_error(runner, tmp_path, where):
+    # 10**400 is a JSON integer that no float holds.
+    out = tmp_path / "out.json"
+    if where == "config":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"lambda": 10**400}))
+        args = ["simulate", "--config", str(path)]
+    elif where == "lambda":
+        args = ["attack", str(edited_transcript(
+            runner, tmp_path, lambda doc: doc["config"].update({"lambda": 10**400})))]
+    else:
+        args = ["attack", str(edited_transcript(
+            runner, tmp_path, lambda doc: doc["observations"][0]["theta"].__setitem__(0, 10**400)))]
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == cli.EXIT_USAGE, result.output
+    if where == "theta":
+        assert "cannot parse transcript" in result.output
+    else:
+        assert "'lambda' must be a finite number" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", ["directory", "list"])
 def test_unreadable_config_is_a_usage_error(runner, tmp_path, config):
     path = tmp_path / "cfg"
@@ -705,3 +747,69 @@ def test_tolerance_is_not_an_option(runner, tmp_path):
         assert result.exit_code == cli.EXIT_USAGE, result.output
         assert "--tol" in result.output
         assert not out.exists()
+
+
+def json_paths(node, path=()):
+    """The path of every value below ``node``, as keys and list indices."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+@functools.cache
+def simulated_transcripts():
+    """``simulate --m 3 --d 4 --rounds 7 --seed 1`` in each mode, as JSON documents."""
+    runner = CliRunner()
+    docs = {}
+    with runner.isolated_filesystem():
+        for mode in fedsim.MODES:
+            run_ok(runner, [
+                "simulate", "--m", "3", "--d", "4", "--rounds", "7", "--seed", "1",
+                "--mode", mode, "--out", "t.json",
+            ])
+            docs[mode] = json.loads(Path("t.json").read_text())
+    return docs
+
+
+EDITS = ["drop", "wrap"] + [("replace", v) for v in [
+    10**400, 5e-324, 1e-310, math.nan, math.inf, -math.inf, "0.1", True, None, [], {}, 1.5,
+    2**63,
+]]
+ATTACK_EXIT_CODES = {0, cli.EXIT_USAGE, cli.EXIT_RANK_DEFICIENT, cli.EXIT_NOT_INTEGRAL,
+                     cli.EXIT_ASYMMETRY, cli.EXIT_RESIDUAL}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    target=st.deferred(lambda: st.sampled_from([
+        (mode, path) for mode, doc in simulated_transcripts().items() for path in json_paths(doc)
+    ])),
+    edit=st.sampled_from(EDITS),
+)
+@example(target=(fedsim.SYNCHRONIZED, ("observations", 0, "theta", 0)), edit=("replace", 10**400))
+@example(target=(fedsim.SYNCHRONIZED, ("config", "lambda")), edit=("replace", 10**400))
+@example(target=(fedsim.SYNCHRONIZED, ("config", "lambda")), edit=("replace", 1e-310))
+def test_any_edited_transcript_gets_a_documented_exit(target, edit):
+    # One value of a valid transcript dropped, wrapped in a list or replaced.
+    mode, path = target
+    doc = copy.deepcopy(simulated_transcripts()[mode])
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+    key = path[-1]
+    if edit == "drop":
+        del parent[key]
+    elif edit == "wrap":
+        parent[key] = [parent[key]]
+    else:
+        parent[key] = edit[1]
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("t.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, ["attack", "t.json", "--out", "r.json"])
+    assert result.exit_code in ATTACK_EXIT_CODES, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)

@@ -384,7 +384,7 @@ IDENTITY_ORDER_WALKS = [
     ((76, 9, 9, 15, 2), (164, "unique", True, "a356dec4559ce052", 96)),
     ((77, 11, 11, 5, None), (57, "multiple", True, "19b8c8c7d8285c26", 57)),
     ((78, 11, 11, 10, 1), (210, "limit_reached", False, "07c36e6b7819d3bd", 210)),
-    ((79, 11, 11, 20, 2), (8885, "unique", True, "0f5c69fc1427b9b3", 8564)),
+    ((79, 11, 11, 20, 2), (8885, "unique", True, "0f5c69fc1427b9b3", 8650)),
     ((80, 11, 11, 15, None), (750, "unique", True, "2b10756ae5c784f7", 595)),
     ((86, 6, 5, 8, None), (27, "infeasible", True, "4f53cda18c2baa0c", 18)),
     ((88, 3, 3, 100, 2), (395, "unique", True, "9ce962a375af7d9d", 12)),
@@ -400,7 +400,7 @@ GOLDEN_SEARCHES = [
     ((76, 9, 9, 15, 2), (153, "unique", True, "a356dec4559ce052", 88)),
     ((77, 11, 11, 5, None), (34, "multiple", True, "4b2fb2e85049baed", 34)),
     ((78, 11, 11, 10, 1), (153, "limit_reached", False, "07c36e6b7819d3bd", 153)),
-    ((79, 11, 11, 20, 2), (477, "unique", True, "0f5c69fc1427b9b3", 224)),
+    ((79, 11, 11, 20, 2), (477, "unique", True, "0f5c69fc1427b9b3", 261)),
     ((80, 11, 11, 15, None), (323, "unique", True, "2b10756ae5c784f7", 186)),
     ((86, 6, 5, 8, None), (7, "infeasible", True, "4f53cda18c2baa0c", 7)),
     ((87, 16, 16, 30, None), (4599, "unique", True, "bfe52dc7e2c2af03", 2585)),
@@ -417,7 +417,7 @@ FOLDED_SEARCHES = [
     ((76, 9, 9, 15, 2), (144, "unique", True, "a356dec4559ce052", 79)),
     ((77, 11, 11, 5, None), (34, "multiple", True, "4b2fb2e85049baed", 34)),
     ((78, 11, 11, 10, 1), (153, "limit_reached", False, "07c36e6b7819d3bd", 153)),
-    ((79, 11, 11, 20, 2), (461, "unique", True, "0f5c69fc1427b9b3", 224)),
+    ((79, 11, 11, 20, 2), (461, "unique", True, "0f5c69fc1427b9b3", 261)),
     ((80, 11, 11, 15, None), (323, "unique", True, "2b10756ae5c784f7", 186)),
     ((86, 6, 5, 8, None), (7, "infeasible", True, "4f53cda18c2baa0c", 7)),
     ((87, 16, 16, 30, None), (4599, "unique", True, "bfe52dc7e2c2af03", 2585)),
@@ -639,6 +639,95 @@ class TestLinearCompletion:
             assert stats.status == walked.status == reconstruct.STATUS_UNIQUE
             assert stats.completions_taken == 0
             assert stats.completions_tried <= 2
+
+    def test_rank_miss_needs_no_eigendecomposition(self, monkeypatch):
+        # A miss is tracked with bit masks: no float null space is computed.
+        def eigh(g):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        model = build_model(gram_of(dependent_rows(np.random.default_rng(94), 12, 24)), 12)
+        solutions, stats = solve(model)
+        reference, walked = walk_only_solve(model)
+        assert [s.x.tolist() for s in solutions] == [s.x.tolist() for s in reference]
+        assert stats.status == walked.status
+        assert stats.completions_tried >= 1 and stats.completions_taken == 0
+
+
+def span(masks):
+    """Every XOR of a subset of ``masks``."""
+    out = {0}
+    for n in masks:
+        out |= {v ^ n for v in out}
+    return out
+
+
+def zero_sums(rows):
+    """Brute force: the masks of the row subsets whose XOR is zero."""
+    out = set()
+    for mask in range(1 << len(rows)):
+        total = 0
+        for i, row in enumerate(rows):
+            if mask >> i & 1:
+                total ^= row
+        if total == 0:
+            out.add(mask)
+    return out
+
+
+class TestDependenciesModTwo:
+    def test_basis_spans_the_brute_force_dependencies(self):
+        rng = np.random.default_rng(95)
+        dependent = 0
+        for _ in range(300):
+            m = int(rng.integers(1, 11))
+            width = int(rng.integers(1, 9))
+            rows = [int(v) for v in rng.integers(0, 1 << width, m)]
+            basis = reconstruct._dependencies(rows)
+            expected = zero_sums(rows)
+            assert 2 ** len(basis) == len(expected)
+            assert set(basis) <= expected - {0}
+            assert span(basis) == expected
+            dependent += bool(basis)
+        assert 100 <= dependent < 300
+
+    def test_narrow_matches_the_extended_rows(self):
+        # Rows as ``_complete`` builds them: the ones column, then k placed bits.
+        rng = np.random.default_rng(96)
+        narrowed = left = 0
+        for _ in range(400):
+            m = int(rng.integers(2, 11))
+            k = int(rng.integers(0, m))
+            patterns = [int(v) for v in rng.integers(0, 1 << k, m)] if k else [0] * m
+            basis = reconstruct._dependencies([(p << 1) | 1 for p in patterns])
+            column = rng.integers(0, 2, m).tolist()
+            extended = [p | bit << k for p, bit in zip(patterns, column)]
+            groups = [(1, p, []) for p in extended]
+            got = reconstruct._narrow(basis, groups, k)
+            expected = reconstruct._dependencies([(p << 1) | 1 for p in extended])
+            if not basis:
+                assert got == [] and expected == []
+            elif got is None:
+                assert expected == []
+                left += 1
+            else:
+                assert expected and span(got) == span(expected)
+                narrowed += len(got) < len(basis)
+        assert narrowed >= 50 and left >= 20
+
+    def test_full_rank_mod_two_is_full_rank(self):
+        # Rows independent mod 2 are independent over the rationals.
+        rng = np.random.default_rng(97)
+        full = 0
+        for _ in range(200):
+            m = int(rng.integers(1, 9))
+            a = rng.integers(0, 2, (m, int(rng.integers(m, 12))))
+            a[:, 0] = 1
+            rows = [sum(int(bit) << j for j, bit in enumerate(row)) for row in a]
+            if not reconstruct._dependencies(rows):
+                assert np.linalg.matrix_rank(a) == m
+                full += 1
+        assert full >= 100
 
 
 def batch_with_fixed_columns(rng, m, d):
