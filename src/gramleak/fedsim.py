@@ -304,8 +304,20 @@ def config_value(config: dict, key: str, kind: type):
     return kind(value)
 
 
+def _float_array(value, where: str) -> np.ndarray:
+    """``value`` as a float array, or a ValueError naming ``where``."""
+    try:
+        return np.array(value, dtype=float)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def load_transcript(text: str) -> Transcript:
-    """Parse the JSON interchange format; a config value of the wrong type is a ValueError."""
+    """Parse the JSON interchange format.
+
+    A config value of the wrong type, or an array entry that is not a number a
+    float holds, is a ValueError naming the field.
+    """
     doc = json.loads(text)
     cfg = doc["config"]
     config = TrainingConfig(
@@ -317,12 +329,13 @@ def load_transcript(text: str) -> Transcript:
         seed=config_value(cfg, "seed", int),
     )
     observations = tuple(
-        Observation(theta=np.array(o["theta"], dtype=float),
-                    delta=np.array(o["delta"], dtype=float))
-        for o in doc["observations"]
+        Observation(theta=_float_array(o["theta"], f"observations[{i}].theta"),
+                    delta=_float_array(o["delta"], f"observations[{i}].delta"))
+        for i, o in enumerate(doc["observations"])
     )
     ground_truth = tuple(
-        Batch(x=np.array(b["x"], dtype=float), y=np.array(b["y"], dtype=float))
-        for b in doc["ground_truth"]
+        Batch(x=_float_array(b["x"], f"ground_truth[{i}].x"),
+              y=_float_array(b["y"], f"ground_truth[{i}].y"))
+        for i, b in enumerate(doc["ground_truth"])
     )
     return Transcript(observations=observations, config=config, ground_truth=ground_truth)

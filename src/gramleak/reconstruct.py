@@ -15,12 +15,13 @@ search therefore branches on how many rows of each pattern group receive a 1
 in the new column, bounded by the ones each count still needs and the rows
 left to take them. This enforces every column-sum and co-occurrence count
 exactly as it goes and yields each row multiset exactly once (canonical,
-permutation-free enumeration). Once the placed columns tell the m rows apart
-and, with the all-ones column, have rank m, they fix every unplaced column:
-the search then ends in one linear completion, a float solve of all those
-columns with a certificate that rounding it is exact, which records the one
-batch below the node or prunes it; after a miss, the rows' dependencies mod 2,
-kept as bit masks, say when to try again. Before the search, ``_fold`` sets
+permutation-free enumeration). Once the placed columns tell the m rows apart,
+the search tries to end in one linear completion, decided in integers: mod 2,
+the rows of ``[1 | P]`` (the all-ones column and the placed ones) leave each
+unplaced column a few candidates, which are checked exactly. One fit per
+column records the one batch below the node, none prunes it, and two let the
+walk go on; the rows' dependencies mod 2, kept as bit masks, then say when to
+try again. Before the search, ``_fold`` sets
 aside every column that alpha already fixes as a copy or the complement of an
 earlier column (an equal Gram row, or a complementary one whose two columns
 cover all m rows). On the Gram matrix of any batch the search then walks at
@@ -51,16 +52,6 @@ from .attack import RecoveredSystem
 
 PSD_TOL = 1e-9
 INTEGRALITY_TOL = 1e-9  # how far a leaked Gram or beta entry may sit from its integer
-
-# Linear completion (``_Search._complete``). A completion costs about as much
-# as COMPLETION_NODES walk nodes, and the walk below a node of m single rows
-# spends at least m + 1 nodes per unplaced column, so it is tried only where
-# that walk is at least this long. Then the bound on ``||I - Y G||`` that
-# certifies rounding, and the bound on ``||Y|| m^2 (k + 1)`` for the
-# approximate inverse Y that keeps float error below 1/16 (2^53 / 32).
-COMPLETION_NODES = 16
-CERTIFICATE_MARGIN = 0.25
-INVERSE_BUDGET = 2.0**48
 
 STATUS_UNIQUE = "unique"
 STATUS_MULTIPLE = "multiple"
@@ -160,11 +151,14 @@ def build_model(alpha: np.ndarray, m: int) -> IlpModel:
             f"diagonal alpha[{i},{i}] = {diag[i]} outside [0, {m}]; wrong batch size?"
         )
     # Columns i and j hold a_ij common ones, so together they cover
-    # a_ii + a_jj - a_ij of the m rows.
+    # a_ii + a_jj - a_ij of the m rows. That sum can pass int64, so it is
+    # tested as a_ii - a_ij > m - a_jj, with m - a_jj clamped at int64's top,
+    # which a_ii - a_ij in [0, a_ii] never passes.
     cap = np.minimum.outer(diag, diag)
-    union = diag[:, None] + diag[None, :] - ai
+    top = np.iinfo(np.int64).max
+    room = np.array([min(m - v, top) for v in diag.tolist()], dtype=np.int64)
     upper = np.triu(np.ones((d, d), dtype=bool), 1)
-    bad = np.argwhere(upper & ((ai < 0) | (ai > cap) | (union > m)))
+    bad = np.argwhere(upper & ((ai < 0) | (ai > cap) | (diag[:, None] - ai > room)))
     if bad.size:
         i, j = bad[0]
         if ai[i, j] < 0:
@@ -173,8 +167,9 @@ def build_model(alpha: np.ndarray, m: int) -> IlpModel:
             raise InfeasibleScreen(
                 f"alpha[{i},{j}] = {ai[i, j]} exceeds min of diagonals {cap[i, j]}"
             )
+        union = int(diag[i]) + int(diag[j]) - int(ai[i, j])
         raise InfeasibleScreen(
-            f"columns {i} and {j} cover {union[i, j]} rows, more than {m}; wrong batch size?"
+            f"columns {i} and {j} cover {union} rows, more than {m}; wrong batch size?"
         )
     ai.setflags(write=False)
     return IlpModel(m=m, d=d, alpha=ai)
@@ -260,16 +255,14 @@ class _Search:
     depth of the search is not bounded by Python's recursion limit.
 
     Once a split leaves m single rows and the k placed columns number at
-    least m - 1, ``_complete`` tries to solve all unplaced columns at once,
-    where the walk it would replace is long enough (``COMPLETION_NODES``):
-    where the placed bits and the all-ones column have rank m, they fix the
-    rest, so the node holds at most one batch, and one certified linear solve
-    records it or prunes the node. Otherwise the walk goes on below it, and a
-    deeper node tries again only once its placed columns leave the rows no
-    dependency mod 2, which proves rank m (``_narrow``). A completion replaces
-    the walk below its node, so solutions come in the same order and only
-    node counts fall. ``column_nodes[c]`` counts the nodes spent placing
-    column c; a completion is one node of the first unplaced column.
+    least m - 1, ``_complete`` tries to decide all unplaced columns at once:
+    it records the one batch below the node, prunes the node, or finds a
+    column with two fits, and then the walk goes on below it. A deeper node
+    tries again when its new column removes a dependency mod 2 among the
+    rows of ``[1 | P]`` (``_narrow``). A completion replaces the walk below
+    its node, so solutions come in the same order and only node counts
+    fall. ``column_nodes[c]`` counts the nodes spent placing column c; a
+    completion is one node of the first unplaced column.
     """
 
     def __init__(
@@ -288,12 +281,18 @@ class _Search:
         self.stopped = False
         self.completions_tried = 0
         self.completions_taken = 0
+        # A completion checks 2^r candidates per column, r its dependencies,
+        # only where 2^r <= m + 1, the fewest nodes the walk spends on one:
+        # r < max_deps.
+        self.max_deps = (m + 1).bit_length()
+        self.parities: list[int] | None = None  # per column, once a completion needs them
 
     def run(self) -> None:
         # One split generator per placed column; the deepest is resumed, and
         # none is resumed once the search stops, so no node counts after that.
         # ``nulls`` holds, per generator, the dependencies mod 2 among the rows
-        # of [1 | P] at the node it splits, once a completion there or above missed.
+        # of [1 | P] at the node it splits, once a completion there or above
+        # walked on.
         m, d = self.m, self.d
         walks = [self._splits(0, self.alpha[0], [(m, 0, [])])]
         nulls: list[list[int] | None] = [None]
@@ -314,11 +313,17 @@ class _Search:
                 self._record(rows)
                 continue
             null = nulls[-1]
-            if (len(groups) == m and col + 2 >= m
-                    and (d - col - 1) * (m + 1) >= COMPLETION_NODES):
-                if null:
-                    null = _narrow(null, groups, col)
+            if len(groups) == m:
+                # A first completion waits until [1 | P], col + 2 columns, can
+                # have rank m; a retry, until the new column removes a dependency.
                 if null is None:
+                    due = col + 2 >= m
+                else:
+                    narrowed = _narrow(null, groups, col)
+                    due = narrowed is None or (
+                        narrowed is not null and len(narrowed) < self.max_deps)
+                    null = narrowed
+                if due:
                     null = self._complete(col + 1, groups)
                     if null is None:
                         continue
@@ -333,62 +338,84 @@ class _Search:
     def _complete(
         self, k: int, groups: list[tuple[int, int, list[int]]]
     ) -> list[int] | None:
-        """Solve every unplaced column from the k placed ones, or say why not.
+        """Decide every unplaced column from the k placed ones, or say why not.
 
-        ``groups`` are the m single rows, row i with placed bits p_i. Each
-        unplaced column x_c must meet ``A x_c = (a_cc, a_0c, ..., a_(k-1)c)``
-        with ``A = [1 | P]'``, (k + 1) x m. If A has rank m, x_c is the one
-        real solution, found for all columns at once from ``G X = C``,
-        ``G = A'A`` and ``C = A'B``, with a float approximate inverse Y of G.
-        ``E = I - Y G`` with ``||E|| <= 1/4`` (infinity norm) proves G
-        nonsingular, and a 0/1 solution x_c then lies within
-        ``|E x_c| <= 1/4`` of ``Y C``, since ``x_c - Y G x_c = E x_c``: so
-        rounding ``Y C`` finds it. G's entries are at most k + 1 and C's at
-        most m (k + 1), so with ``||Y|| m^2 (k + 1) <= 2^48`` the float error
-        of each product stays below 1/16 and the rounded X is still within
-        3/8 of any 0/1 solution. With the bound proven, the node is decided:
-        the rounded X is accepted when it is 0/1 and ``[P | X]' X`` equals
-        alpha's unplaced columns exactly in int64 (``A X = B`` and ``X'X``
-        together), and the node is pruned otherwise. Returns None when
-        decided. Else the walk goes on below the node, and this returns the
-        dependencies mod 2 among the rows of ``[1 | P]``: empty means rank m
-        (a rational dependency scaled to coprime integers is not zero mod 2)
-        with the bound failed, so no node below tries again.
+        ``groups`` are the m single rows; row i, with placed bits p_i, is the
+        int ``(p_i << 1) | 1`` of ``[1 | P]``. An unplaced column c, as an
+        m-bit row mask x, must meet ``[1 | P]' x = (a_cc, a_0c, ...,
+        a_(k-1)c)``. One XOR elimination of the rows (``_dependencies``) gives
+        pivots and a basis of the r dependencies mod 2. Reducing c's counts
+        mod 2 against the pivots gives one solution x0 mod 2, or none, which
+        prunes the node. Every 0/1 column meeting c's counts lies in
+        ``x0 ^ span(deps)``, so those 2^r candidates are checked exactly, by
+        ``bit_count``, against the total, the placed columns and the columns
+        decided before c. No fit prunes the node. Two fits end the
+        completion: it returns the dependencies, and the walk goes on below
+        the node. So does ``2^r > m + 1``, more candidates per column than
+        the m + 1 nodes the walk spends on one at least. With one fit per
+        column, ``[P | X]' X`` must equal alpha's unplaced columns (where
+        r = 0, the one exact check), and the batch, the only one below the
+        node, is recorded. Returns None when the node is decided.
         """
         m, d = self.m, self.d
         self.nodes += 1
         self.column_nodes[k] += 1
         self.completions_tried += 1
-        # Bit 0 is the all-ones column, bit 1 + l the placed column l.
-        rows = [(pattern << 1) | 1 for _, pattern, _ in groups]
-        width = (k + 8) // 8
-        raw = b"".join(row.to_bytes(width, "little") for row in rows)
-        a = np.unpackbits(
-            np.frombuffer(raw, np.uint8).reshape(m, width), axis=1, count=k + 1,
+        pivots, deps = _dependencies([(pattern << 1) | 1 for _, pattern, _ in groups])
+        if len(deps) >= self.max_deps:
+            return deps
+        candidates = [0]
+        for dep in deps:
+            candidates += [s ^ dep for s in candidates]
+        if self.parities is None:
+            # Bit 0 is the parity of a_cc, bit 1 + l that of a_lc.
+            packed = np.packbits(self.gram & 1, axis=1, bitorder="little")
+            width = packed.shape[1]
+            raw = packed.tobytes()
+            self.parities = []
+            for c, at in enumerate(range(0, d * width, width)):
+                odd = int.from_bytes(raw[at:at + width], "little")
+                self.parities.append(odd << 1 | odd >> c & 1)
+        cols = [0] * d  # row masks: the placed columns, then the decided ones
+        for i, (_, _, own) in enumerate(groups):
+            for l in own:
+                cols[l] |= 1 << i
+        low = (2 << k) - 1  # the parities of the total and the placed counts
+        for c in range(k, d):
+            b, fit = self.parities[c] & low, 0
+            while b:
+                pivot = pivots.get(b.bit_length())
+                if pivot is None:
+                    return None
+                b ^= pivot[0]
+                fit ^= pivot[1]
+            if deps:
+                counts = self.alpha[c]
+                x0, fit = fit, None
+                for s in candidates:
+                    x = x0 ^ s
+                    if x.bit_count() != counts[c]:
+                        continue
+                    for l in range(c):
+                        if (x & cols[l]).bit_count() != counts[l]:
+                            break
+                    else:
+                        if fit is not None:
+                            return deps
+                        fit = x
+                if fit is None:
+                    return None
+            cols[c] = fit
+        # One fit per column; where r = 0 it is checked only here.
+        width = (m + 7) // 8
+        raw = b"".join(col.to_bytes(width, "little") for col in cols)
+        bits = np.unpackbits(
+            np.frombuffer(raw, np.uint8).reshape(d, width), axis=1, count=m,
             bitorder="little",
-        )
-        af = a.astype(float)
-        g = af @ af.T
-        try:
-            y = np.linalg.inv(g)
-        except np.linalg.LinAlgError:
-            return _dependencies(rows)
-        if not np.abs(y).sum(axis=1).max() * m * m * (k + 1) <= INVERSE_BUDGET:
-            return _dependencies(rows)
-        e = y @ g
-        e.flat[::m + 1] -= 1.0
-        if np.abs(e).sum(axis=1).max() > CERTIFICATE_MARGIN:
-            return _dependencies(rows)
-        c = af[:, 1:] @ self.gram[:k, k:]
-        c += self.gram.diagonal()[k:]
-        x = np.rint(y @ c)
-        if x.min() >= 0 and x.max() <= 1:
-            full = np.empty((m, d), dtype=np.int64)
-            full[:, :k] = a[:, 1:]
-            full[:, k:] = x
-            if (full.T @ full[:, k:] == self.gram[:, k:]).all():
-                self.completions_taken += 1
-                self._record(list(map(tuple, full.tolist())))
+        ).astype(np.int64)
+        if (bits @ bits[k:].T == self.gram[:, k:]).all():
+            self.completions_taken += 1
+            self._record(list(map(tuple, bits.T.tolist())))
         return None
 
     def _splits(
@@ -469,9 +496,13 @@ class _Search:
                 return
 
 
-def _dependencies(rows: list[int]) -> list[int]:
-    """A basis of the dependencies mod 2 among ``rows``, as row masks, by XOR elimination."""
-    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (reduced row, row mask)
+def _dependencies(rows: list[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """XOR elimination of ``rows``: its pivots and a basis of the dependencies mod 2.
+
+    The pivots map a leading bit to a reduced row and the mask of the rows
+    it sums; the dependencies are row masks whose rows sum to zero.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
     deps = []
     for i, v in enumerate(rows):
         mask = 1 << i
@@ -482,7 +513,7 @@ def _dependencies(rows: list[int]) -> list[int]:
             pivots[v.bit_length()] = v, mask
         else:
             deps.append(mask)
-    return deps
+    return pivots, deps
 
 
 def _narrow(
@@ -491,8 +522,9 @@ def _narrow(
     """The dependencies ``null`` among the rows of ``[1 | P]`` once column ``col`` joins P.
 
     One survives iff it meets the new column in an even number of rows, and
-    adding the first odd one to each other odd one makes that even. None means
-    none is left, so a completion may hold; an empty ``null`` stays empty.
+    adding the first odd one to each other odd one makes that even. The same
+    list comes back when none is odd, and None when none is left, where a
+    completion has one candidate per column and always decides the node.
     """
     x = sum(1 << i for i, (_, pattern, _) in enumerate(groups) if pattern >> col & 1)
     odd = [n for n in null if (n & x).bit_count() & 1]

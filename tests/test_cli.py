@@ -590,6 +590,22 @@ def test_integer_beyond_float_is_a_usage_error(runner, tmp_path, where):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, entry", [
+    ("observations[2].theta", lambda doc: doc["observations"][2]["theta"]),
+    ("observations[5].delta", lambda doc: doc["observations"][5]["delta"]),
+    ("ground_truth[0].x", lambda doc: doc["ground_truth"][0]["x"][1]),
+    ("ground_truth[0].y", lambda doc: doc["ground_truth"][0]["y"]),
+], ids=["theta", "delta", "x", "y"])
+def test_transcript_number_beyond_float_names_its_field(runner, tmp_path, field, entry):
+    # 10**400 is a JSON integer that no float holds; the message says where it is.
+    transcript = edited_transcript(runner, tmp_path, lambda doc: entry(doc).__setitem__(1, 10**400))
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, ["attack", str(transcript), "--out", str(out)])
+    assert result.exit_code == cli.EXIT_USAGE, result.output
+    assert f"{field}: int too large to convert to float" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", ["directory", "list"])
 def test_unreadable_config_is_a_usage_error(runner, tmp_path, config):
     path = tmp_path / "cfg"

@@ -120,6 +120,14 @@ class TestBuildModel:
         with pytest.raises(InfeasibleScreen, match=f"columns {d - 2} and {d - 1} cover {union} rows"):
             build_model(alpha, m)
 
+    def test_pair_union_past_int64_screened(self):
+        # The columns cover 2^63 + 10 rows, a count past int64 and 11 more
+        # than the batch size: the screen must not wrap, and it raises
+        # before any search starts.
+        alpha = np.array([[2**62 + 5, 0], [0, 2**62 + 5]])
+        with pytest.raises(InfeasibleScreen, match=f"columns 0 and 1 cover {2**63 + 10} rows"):
+            build_model(alpha, 2**63 - 1)
+
     def test_diagonal_above_batch_size_screened(self):
         alpha = np.array([[3, 0], [0, 1]], dtype=np.int64)
         with pytest.raises(InfeasibleScreen, match="wrong batch size"):
@@ -334,8 +342,9 @@ class TestSolve:
 class WalkOnly(reconstruct._Search):
     """The search with its linear completion switched off: the reference walk.
 
-    Every completion reports a full-rank miss without counting a node, so
-    no node below it tries again and the walk places every column.
+    Every completion walks on without counting a node, with no dependency
+    that a column could remove, so no node below it tries again and the
+    walk places every column.
     """
 
     def _complete(self, k, groups):
@@ -375,32 +384,32 @@ def walk_digest(batches):
 # 89 are wide cells: each split there meets the counts of up to 199 placed
 # columns.
 IDENTITY_ORDER_WALKS = [
-    ((70, 3, 3, 5, None), (17, "unique", True, "5a225fc940af52a2", 17)),
+    ((70, 3, 3, 5, None), (17, "unique", True, "5a225fc940af52a2", 12)),
     ((71, 5, 5, 10, None), (53, "unique", True, "1e26187773e6b065", 16)),
     ((72, 5, 5, 10, 1), (62, "limit_reached", False, "572457da3a214a64", 20)),
     ((73, 8, 8, 5, None), (62, "multiple", True, "85a40f3748975d6f", 62)),
     ((74, 8, 8, 10, 2), (103, "unique", True, "f39c39879666b97a", 56)),
     ((75, 9, 9, 5, 2), (80, "multiple", False, "e83a40473bdd4ebe", 80)),
-    ((76, 9, 9, 15, 2), (164, "unique", True, "a356dec4559ce052", 96)),
+    ((76, 9, 9, 15, 2), (164, "unique", True, "a356dec4559ce052", 57)),
     ((77, 11, 11, 5, None), (57, "multiple", True, "19b8c8c7d8285c26", 57)),
     ((78, 11, 11, 10, 1), (210, "limit_reached", False, "07c36e6b7819d3bd", 210)),
-    ((79, 11, 11, 20, 2), (8885, "unique", True, "0f5c69fc1427b9b3", 8650)),
+    ((79, 11, 11, 20, 2), (8885, "unique", True, "0f5c69fc1427b9b3", 8513)),
     ((80, 11, 11, 15, None), (750, "unique", True, "2b10756ae5c784f7", 595)),
     ((86, 6, 5, 8, None), (27, "infeasible", True, "4f53cda18c2baa0c", 18)),
     ((88, 3, 3, 100, 2), (395, "unique", True, "9ce962a375af7d9d", 12)),
     ((89, 4, 4, 200, 2), (994, "unique", True, "ae0bd281949a39fe", 18)),
 ]
 GOLDEN_SEARCHES = [
-    ((70, 3, 3, 5, None), (16, "unique", True, "5a225fc940af52a2", 16)),
+    ((70, 3, 3, 5, None), (16, "unique", True, "5a225fc940af52a2", 11)),
     ((71, 5, 5, 10, None), (47, "unique", True, "1e26187773e6b065", 22)),
-    ((72, 5, 5, 10, 1), (46, "limit_reached", False, "572457da3a214a64", 46)),
+    ((72, 5, 5, 10, 1), (46, "limit_reached", False, "572457da3a214a64", 40)),
     ((73, 8, 8, 5, None), (47, "multiple", True, "6be5cc16cb9d004a", 47)),
     ((74, 8, 8, 10, 2), (104, "unique", True, "f39c39879666b97a", 56)),
     ((75, 9, 9, 5, 2), (41, "multiple", False, "a808a8048dfc0b65", 41)),
     ((76, 9, 9, 15, 2), (153, "unique", True, "a356dec4559ce052", 88)),
     ((77, 11, 11, 5, None), (34, "multiple", True, "4b2fb2e85049baed", 34)),
     ((78, 11, 11, 10, 1), (153, "limit_reached", False, "07c36e6b7819d3bd", 153)),
-    ((79, 11, 11, 20, 2), (477, "unique", True, "0f5c69fc1427b9b3", 261)),
+    ((79, 11, 11, 20, 2), (477, "unique", True, "0f5c69fc1427b9b3", 190)),
     ((80, 11, 11, 15, None), (323, "unique", True, "2b10756ae5c784f7", 186)),
     ((86, 6, 5, 8, None), (7, "infeasible", True, "4f53cda18c2baa0c", 7)),
     ((87, 16, 16, 30, None), (4599, "unique", True, "bfe52dc7e2c2af03", 2585)),
@@ -408,7 +417,7 @@ GOLDEN_SEARCHES = [
     ((89, 4, 4, 200, 2), (842, "unique", True, "ae0bd281949a39fe", 281)),
 ]
 FOLDED_SEARCHES = [
-    ((70, 3, 3, 5, None), (13, "unique", True, "5a225fc940af52a2", 13)),
+    ((70, 3, 3, 5, None), (13, "unique", True, "5a225fc940af52a2", 8)),
     ((71, 5, 5, 10, None), (34, "unique", True, "1e26187773e6b065", 15)),
     ((72, 5, 5, 10, 1), (23, "limit_reached", False, "572457da3a214a64", 23)),
     ((73, 8, 8, 5, None), (47, "multiple", True, "6be5cc16cb9d004a", 47)),
@@ -417,11 +426,11 @@ FOLDED_SEARCHES = [
     ((76, 9, 9, 15, 2), (144, "unique", True, "a356dec4559ce052", 79)),
     ((77, 11, 11, 5, None), (34, "multiple", True, "4b2fb2e85049baed", 34)),
     ((78, 11, 11, 10, 1), (153, "limit_reached", False, "07c36e6b7819d3bd", 153)),
-    ((79, 11, 11, 20, 2), (461, "unique", True, "0f5c69fc1427b9b3", 261)),
+    ((79, 11, 11, 20, 2), (461, "unique", True, "0f5c69fc1427b9b3", 190)),
     ((80, 11, 11, 15, None), (323, "unique", True, "2b10756ae5c784f7", 186)),
     ((86, 6, 5, 8, None), (7, "infeasible", True, "4f53cda18c2baa0c", 7)),
     ((87, 16, 16, 30, None), (4599, "unique", True, "bfe52dc7e2c2af03", 2585)),
-    ((88, 3, 3, 100, 2), (11, "unique", True, "9ce962a375af7d9d", 11)),
+    ((88, 3, 3, 100, 2), (11, "unique", True, "9ce962a375af7d9d", 8)),
     ((89, 4, 4, 200, 2), (35, "unique", True, "ae0bd281949a39fe", 14)),
 ]
 
@@ -538,11 +547,8 @@ def dependent_rows(rng, m, d):
 
 
 class TestLinearCompletion:
-    @pytest.mark.parametrize("gate", [reconstruct.COMPLETION_NODES, 0], ids=["gated", "always"])
-    def test_sets_match_the_reference_walk(self, monkeypatch, gate):
-        # With and without the cost gate, so small cells complete too.
+    def test_sets_match_the_reference_walk(self):
         # Duplicate and dependent rows, and batch sizes one off the truth.
-        monkeypatch.setattr(reconstruct, "COMPLETION_NODES", gate)
         rng = np.random.default_rng(90)
         compared = tried = taken = 0
         for m, d in [(5, 5), (6, 8), (8, 10), (9, 12), (11, 15), (12, 20), (14, 24), (16, 30)]:
@@ -571,10 +577,9 @@ class TestLinearCompletion:
                     taken += stats.completions_taken
         assert compared >= 40 and taken >= 20 and tried > taken
 
-    def test_limited_walks_keep_their_order(self, monkeypatch):
+    def test_limited_walks_keep_their_order(self):
         # A completion records its batch where the walk below would have, so
         # a search stopped by its limit returns the same first solutions.
-        monkeypatch.setattr(reconstruct, "COMPLETION_NODES", 0)
         rng = np.random.default_rng(91)
         for _ in range(60):
             m = int(rng.integers(3, 10))
@@ -593,43 +598,31 @@ class TestLinearCompletion:
         assert (stats.completions_tried, stats.completions_taken) == (1, 1)
         assert np.array_equal(solutions[0].x, canonical_rows(x))
 
-    def test_poor_inverse_falls_back_to_the_walk(self, monkeypatch):
-        # Half the inverse leaves ||I - Y G|| = 1/2: the certificate fails,
-        # nothing is rounded, and the walk below finds the batch.
-        inverse = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda g: 0.5 * inverse(g))
-        x = fedsim.random_batch(np.random.default_rng(87), 16, 30).x.astype(np.int64)
-        solutions, stats = solve(build_model(gram_of(x), 16))
-        assert stats.status == reconstruct.STATUS_UNIQUE
-        assert stats.completions_tried >= 1 and stats.completions_taken == 0
-        assert np.array_equal(solutions[0].x, canonical_rows(x))
-
-    def test_rank_miss_matches_brute_force(self, monkeypatch):
-        # Rows a, b, a | b, a & b and two more: every completion on the way
-        # to the batch misses rank 6, and the walk finds it.
-        monkeypatch.setattr(reconstruct, "COMPLETION_NODES", 0)
+    def test_rank_miss_matches_brute_force(self):
+        # Rows a, b, a | b, a & b and two more: [1 | P] misses rank 6 on
+        # every set of columns, yet one fit per column decides the node.
         rng = np.random.default_rng(92)
-        missed = 0
+        completed = 0
         for _ in range(40):
             alpha = gram_of(dependent_rows(rng, 6, 8))
-            solutions, stats = solve(build_model(alpha, 6))
-            if not stats.completions_tried:
+            model = build_model(alpha, 6)
+            solutions, stats = solve(model)
+            if not stats.completions_taken:
                 continue  # rows alike on the first columns: no completion applies
             got = {tuple(map(tuple, s.x)) for s in solutions}
             assert got == brute_force_by_columns(alpha, 6)
-            assert stats.exhausted
-            if stats.status == reconstruct.STATUS_UNIQUE:
-                # The one batch has the dependent rows, so nothing completes to it.
-                assert stats.completions_taken == 0
-            missed += 1
-            if missed == 5:
+            reference, walked = walk_only_solve(model)
+            assert [s.x.tolist() for s in solutions] == [s.x.tolist() for s in reference]
+            assert stats.exhausted and stats.status == walked.status
+            completed += 1
+            if completed == 5:
                 break
-        assert missed == 5
+        assert completed == 5
 
     @pytest.mark.parametrize("m, d", [(12, 24), (16, 30)])
     def test_rank_miss_is_not_retried_below(self, m, d):
-        # After a miss, a deeper node tries again only once its columns raise
-        # the rank, which the true batch's columns never do.
+        # The first completion on the way to a batch with dependent rows
+        # decides its node, so no node below it needs a retry.
         rng = np.random.default_rng([93, m])
         for _ in range(3):
             model = build_model(gram_of(dependent_rows(rng, m, d)), m)
@@ -637,22 +630,87 @@ class TestLinearCompletion:
             reference, walked = walk_only_solve(model, limit=2)
             assert [s.x.tolist() for s in solutions] == [s.x.tolist() for s in reference]
             assert stats.status == walked.status == reconstruct.STATUS_UNIQUE
-            assert stats.completions_taken == 0
-            assert stats.completions_tried <= 2
+            assert stats.completions_tried == stats.completions_taken == 1
+            assert stats.nodes_explored < walked.nodes_explored
 
-    def test_rank_miss_needs_no_eigendecomposition(self, monkeypatch):
-        # A miss is tracked with bit masks: no float null space is computed.
-        def eigh(g):
-            raise AssertionError("eigh called")
+    def test_search_calls_no_float_linear_algebra(self, monkeypatch):
+        # The completion is decided in integers: every np.linalg function raises.
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg called")
 
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        model = build_model(gram_of(dependent_rows(np.random.default_rng(94), 12, 24)), 12)
-        solutions, stats = solve(model)
-        reference, walked = walk_only_solve(model)
-        assert [s.x.tolist() for s in solutions] == [s.x.tolist() for s in reference]
-        assert stats.status == walked.status
-        assert stats.completions_tried >= 1 and stats.completions_taken == 0
+        x = fedsim.random_batch(np.random.default_rng(87), 16, 30).x.astype(np.int64)
+        batches = [x, dependent_rows(np.random.default_rng(94), 12, 24)]
+        models = [build_model(gram_of(b), len(b)) for b in batches]
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        for batch, model in zip(batches, models):
+            solutions, stats = solve(model)
+            assert stats.status == reconstruct.STATUS_UNIQUE
+            assert stats.completions_taken >= 1
+            assert np.array_equal(solutions[0].x, canonical_rows(batch))
 
+    def test_complete_matches_brute_force_on_small_nodes(self):
+        # Every node of m <= 8 single rows that the walk reaches, with k
+        # placed columns: record, prune or walk on as enumerating each 0/1
+        # column says, and a recorded batch is the node's only completion.
+        # Half the batches have dependent rows; a third get one row more.
+        rng = np.random.default_rng(98)
+        outcomes = {"record": 0, "prune": 0, "walk": 0}
+        deficient = 0  # recorded where [1 | P] misses rank m
+        for trial in range(600):
+            m = int(rng.integers(3, 8))
+            d = int(rng.integers(m - 1, 9))
+            x = dependent_rows(rng, m, d) if trial % 2 and m >= 4 else rng.integers(0, 2, (m, d))
+            alpha = gram_of(x)
+            m += trial % 3 // 2
+            search = reconstruct._Search(alpha, m, None, None)
+            level = [[(m, 0, [])]]
+            for k in range(1, d):
+                level = [g for groups in level for g in search._splits(k - 1, search.alpha[k - 1], groups)]
+                for groups in level:
+                    if len(groups) < m:
+                        continue
+                    expected, batch = complete_by_enumeration(alpha, m, k, groups)
+                    node = reconstruct._Search(alpha, m, None, None)
+                    if node._complete(k, groups) is not None:
+                        outcome = "walk"
+                    else:
+                        outcome = "record" if node.solutions else "prune"
+                    assert outcome == expected
+                    if outcome == "record":
+                        assert node.solutions == [batch]
+                        rows = [[1] + [p >> j & 1 for j in range(k)] for _, p, _ in groups]
+                        deficient += np.linalg.matrix_rank(np.array(rows)) < m
+                    outcomes[outcome] += 1
+        assert min(outcomes.values()) >= 30 and deficient >= 100
+
+def complete_by_enumeration(alpha, m, k, groups):
+    """What ``_complete`` must decide at a node, from every 0/1 column of m rows.
+
+    Columns k, k+1, ... in turn: the fits are the columns meeting the total
+    and the counts with the placed columns and with the columns decided
+    before. No fit prunes, two walk on, one decides the column; so do more
+    than m + 1 candidates mod 2 (2^r zero-sum row sets of ``[1 | P]``).
+    Returns the outcome and, for a record, the batch as the search records it.
+    """
+    d = len(alpha)
+    cols = [[p >> j & 1 for _, p, _ in groups] for j in range(k)]
+    rank_gap = len(zero_sums([(p << 1) | 1 for _, p, _ in groups]))
+    if rank_gap > m + 1:
+        return "walk", None
+    for c in range(k, d):
+        fits = [
+            col for col in itertools.product((0, 1), repeat=m)
+            if sum(col) == alpha[c, c]
+            and all(np.dot(col, cols[l]) == alpha[c, l] for l in range(c))
+        ]
+        if not fits:
+            return "prune", None
+        if len(fits) > 1:
+            return "walk", None
+        cols.append(list(fits[0]))
+    return "record", tuple(sorted(zip(*cols)))
 
 def span(masks):
     """Every XOR of a subset of ``masks``."""
@@ -662,17 +720,18 @@ def span(masks):
     return out
 
 
+def xor_of(rows, mask):
+    """The XOR of the rows that ``mask`` selects."""
+    total = 0
+    for i, row in enumerate(rows):
+        if mask >> i & 1:
+            total ^= row
+    return total
+
+
 def zero_sums(rows):
     """Brute force: the masks of the row subsets whose XOR is zero."""
-    out = set()
-    for mask in range(1 << len(rows)):
-        total = 0
-        for i, row in enumerate(rows):
-            if mask >> i & 1:
-                total ^= row
-        if total == 0:
-            out.add(mask)
-    return out
+    return {mask for mask in range(1 << len(rows)) if xor_of(rows, mask) == 0}
 
 
 class TestDependenciesModTwo:
@@ -683,9 +742,14 @@ class TestDependenciesModTwo:
             m = int(rng.integers(1, 11))
             width = int(rng.integers(1, 9))
             rows = [int(v) for v in rng.integers(0, 1 << width, m)]
-            basis = reconstruct._dependencies(rows)
+            pivots, basis = reconstruct._dependencies(rows)
             expected = zero_sums(rows)
             assert 2 ** len(basis) == len(expected)
+            # Each pivot is the sum of the rows in its mask, led by its key.
+            assert len(pivots) + len(basis) == m
+            for lead, (row, used) in pivots.items():
+                assert row.bit_length() == lead
+                assert row == xor_of(rows, used)
             assert set(basis) <= expected - {0}
             assert span(basis) == expected
             dependent += bool(basis)
@@ -699,12 +763,12 @@ class TestDependenciesModTwo:
             m = int(rng.integers(2, 11))
             k = int(rng.integers(0, m))
             patterns = [int(v) for v in rng.integers(0, 1 << k, m)] if k else [0] * m
-            basis = reconstruct._dependencies([(p << 1) | 1 for p in patterns])
+            _, basis = reconstruct._dependencies([(p << 1) | 1 for p in patterns])
             column = rng.integers(0, 2, m).tolist()
             extended = [p | bit << k for p, bit in zip(patterns, column)]
             groups = [(1, p, []) for p in extended]
             got = reconstruct._narrow(basis, groups, k)
-            expected = reconstruct._dependencies([(p << 1) | 1 for p in extended])
+            _, expected = reconstruct._dependencies([(p << 1) | 1 for p in extended])
             if not basis:
                 assert got == [] and expected == []
             elif got is None:
@@ -724,7 +788,7 @@ class TestDependenciesModTwo:
             a = rng.integers(0, 2, (m, int(rng.integers(m, 12))))
             a[:, 0] = 1
             rows = [sum(int(bit) << j for j, bit in enumerate(row)) for row in a]
-            if not reconstruct._dependencies(rows):
+            if not reconstruct._dependencies(rows)[1]:
                 assert np.linalg.matrix_rank(a) == m
                 full += 1
         assert full >= 100
