@@ -546,9 +546,40 @@ def dependent_rows(rng, m, d):
     return x
 
 
+def coded_rows(rng, m, d):
+    """m distinct rows whose first m - 1 bits are words of a small code mod 2.
+
+    The code has the fewest dimensions b that hold m words, so a node with
+    those m - 1 columns placed has m - b - 1 dependencies among the rows of
+    ``[1 | P]`` at least: from m = 8, more than ``2^r <= m + 1`` allows.
+    """
+    b = (m - 1).bit_length()
+    basis = rng.integers(0, 2, (b, m - 1))
+    words = np.array([[i >> j & 1 for j in range(b)] for i in range(2 ** b)]) @ basis % 2
+    x = rng.integers(0, 2, (m, d))
+    x[:, :m - 1] = words[rng.permutation(2 ** b)[:m]]
+    return x.astype(np.int64)
+
+
+class Ungated(reconstruct._Search):
+    """The search with no cost gate: a completion checks all 2^r candidates.
+
+    r counts dependencies among m rows, so it stays below m + 1 and every
+    completion that is due runs to its end.
+    """
+
+    def __init__(self, alpha, m, limit, deadline_at):
+        super().__init__(alpha, m, limit, deadline_at)
+        self.max_deps = m + 1
+
+
 class TestLinearCompletion:
-    def test_sets_match_the_reference_walk(self):
-        # Duplicate and dependent rows, and batch sizes one off the truth.
+    @pytest.mark.parametrize("search", [reconstruct._Search, Ungated], ids=["gated", "always"])
+    def test_sets_match_the_reference_walk(self, monkeypatch, search):
+        # With and without the cost gate 2^r <= m + 1, so nodes with more
+        # dependencies complete too. Duplicate and dependent rows, and batch
+        # sizes one off the truth.
+        monkeypatch.setattr(reconstruct, "_Search", search)
         rng = np.random.default_rng(90)
         compared = tried = taken = 0
         for m, d in [(5, 5), (6, 8), (8, 10), (9, 12), (11, 15), (12, 20), (14, 24), (16, 30)]:
@@ -576,6 +607,28 @@ class TestLinearCompletion:
                     tried += stats.completions_tried
                     taken += stats.completions_taken
         assert compared >= 40 and taken >= 20 and tried > taken
+        # solve places the coded columns last; in input order they come first.
+        rng = np.random.default_rng(93)
+        for m, d in [(8, 10), (8, 12), (9, 12)]:
+            for _ in range(3):
+                alpha = gram_of(coded_rows(rng, m, d))
+                walk = identity_order_search(alpha, m, search=search)
+                reference = identity_order_search(alpha, m, search=WalkOnly)
+                assert walk.solutions == reference.solutions
+                assert walk.nodes <= reference.nodes + walk.completions_tried
+
+    def test_gate_changes_only_node_counts(self):
+        # Past the gate a completion walks on, where all 2^r candidates may
+        # have decided the node: the same batches, more nodes.
+        rng = np.random.default_rng(93)
+        more = 0
+        for _ in range(6):
+            alpha = gram_of(coded_rows(rng, 8, 10))
+            gated = identity_order_search(alpha, 8)
+            ungated = identity_order_search(alpha, 8, search=Ungated)
+            assert gated.solutions == ungated.solutions
+            more += gated.nodes > ungated.nodes
+        assert more >= 3
 
     def test_limited_walks_keep_their_order(self):
         # A completion records its batch where the walk below would have, so
