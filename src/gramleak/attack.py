@@ -61,9 +61,21 @@ class NullityCheck(NamedTuple):
 def _stack_observations(
     observations: list[Observation], learning_rate: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Model points and pushes as rows; a width-d system needs d+1 of them."""
+    """Model points and pushes as rows; a width-d system needs d+1 of them.
+
+    A rate that is not positive and finite raises ``ValueError``, and one
+    whose quarter is subnormal raises :class:`numkit.NonFinite`.
+    """
     if not (0 < learning_rate < np.inf):
         raise ValueError(f"learning rate must be positive and finite, got {learning_rate!r}")
+    # The sync design scales by lr/4 and the async one by lr/2; once lr/4 is
+    # subnormal, the sync solve overflows and the async one loses rank.
+    tiny = np.finfo(float).tiny
+    if 0.25 * learning_rate < tiny:
+        raise numkit.NonFinite(
+            f"learning rate {learning_rate!r} is too small for float64: "
+            f"0.25 * rate is below {tiny:.3e}"
+        )
     if not observations:
         raise ValueError("need at least one observation")
     d = observations[0].theta.shape[0]

@@ -15,13 +15,13 @@ search therefore branches on how many rows of each pattern group receive a 1
 in the new column, bounded by the ones each count still needs and the rows
 left to take them. This enforces every column-sum and co-occurrence count
 exactly as it goes and yields each row multiset exactly once (canonical,
-permutation-free enumeration). Once the placed columns tell the m rows apart,
-the search tries to end in one linear completion, decided in integers: mod 2,
-the rows of ``[1 | P]`` (the all-ones column and the placed ones) leave each
-unplaced column a few candidates, which are checked exactly. One fit per
-column records the one batch below the node, none prunes it, and two let the
-walk go on; the rows' dependencies mod 2, kept as bit masks, then say when to
-try again. Before the search, ``_fold`` sets
+permutation-free enumeration). Where the placed columns tell the m rows
+apart, one XOR elimination counts the r dependencies mod 2 among the rows of
+``[1 | P]`` (the all-ones column and the placed ones). Where 2^r <= m + 1 the
+search tries to end in one linear completion, decided in integers: mod 2,
+those rows leave each unplaced column 2^r candidates, which are checked
+exactly. One fit per column records the one batch below the node, none
+prunes it, and two let the walk go on. Before the search, ``_fold`` sets
 aside every column that alpha already fixes as a copy or the complement of an
 earlier column (an equal Gram row, or a complementary one whose two columns
 cover all m rows). On the Gram matrix of any batch the search then walks at
@@ -254,15 +254,17 @@ class _Search:
     row multisets. Columns and groups are walked with explicit stacks, so the
     depth of the search is not bounded by Python's recursion limit.
 
-    Once a split leaves m single rows and the k placed columns number at
-    least m - 1, ``_complete`` tries to decide all unplaced columns at once:
-    it records the one batch below the node, prunes the node, or finds a
-    column with two fits, and then the walk goes on below it. A deeper node
-    tries again when its new column removes a dependency mod 2 among the
-    rows of ``[1 | P]`` (``_narrow``). A completion replaces the walk below
-    its node, so solutions come in the same order and only node counts
-    fall. ``column_nodes[c]`` counts the nodes spent placing column c; a
-    completion is one node of the first unplaced column.
+    At each node of m single rows, with k placed columns, ``_dependencies``
+    counts the r dependencies mod 2 among the rows of ``[1 | P]``, and where
+    r < ``max_deps`` (2^r <= m + 1) ``_complete`` tries to decide all
+    unplaced columns at once: it records the one batch below the node,
+    prunes the node, or finds a column with two fits, and then the walk goes
+    on below it. ``[1 | P]`` has k + 1 columns, so r >= m - k - 1, and a
+    node where that bound reaches ``max_deps`` skips the elimination. A
+    completion replaces the walk below its node, so solutions come in the
+    same order and only node counts change. ``column_nodes[c]`` counts the
+    nodes spent placing column c; a completion is one node of the first
+    unplaced column.
     """
 
     def __init__(
@@ -281,21 +283,17 @@ class _Search:
         self.stopped = False
         self.completions_tried = 0
         self.completions_taken = 0
-        # A completion checks 2^r candidates per column, r its dependencies,
-        # only where 2^r <= m + 1, the fewest nodes the walk spends on one:
-        # r < max_deps.
+        # A completion checks 2^r candidates per column, r the dependencies
+        # mod 2 among the rows of [1 | P], so it runs only where 2^r <= m + 1,
+        # the fewest nodes the walk spends on one: r < max_deps.
         self.max_deps = (m + 1).bit_length()
         self.parities: list[int] | None = None  # per column, once a completion needs them
 
     def run(self) -> None:
         # One split generator per placed column; the deepest is resumed, and
         # none is resumed once the search stops, so no node counts after that.
-        # ``nulls`` holds, per generator, the dependencies mod 2 among the rows
-        # of [1 | P] at the node it splits, once a completion there or above
-        # walked on.
         m, d = self.m, self.d
         walks = [self._splits(0, self.alpha[0], [(m, 0, [])])]
-        nulls: list[list[int] | None] = [None]
         column_nodes = self.column_nodes
         while walks and not self.stopped:
             col = len(walks) - 1
@@ -304,7 +302,6 @@ class _Search:
             column_nodes[col] += self.nodes - before
             if groups is None:
                 walks.pop()
-                nulls.pop()
                 continue
             if col + 1 == d:
                 rows = []
@@ -312,23 +309,12 @@ class _Search:
                     rows.extend([tuple((pattern >> j) & 1 for j in range(d))] * size)
                 self._record(rows)
                 continue
-            null = nulls[-1]
-            if len(groups) == m:
-                # A first completion waits until [1 | P], col + 2 columns, can
-                # have rank m; a retry, until the new column removes a dependency.
-                if null is None:
-                    due = col + 2 >= m
-                else:
-                    narrowed = _narrow(null, groups, col)
-                    due = narrowed is None or (
-                        narrowed is not null and len(narrowed) < self.max_deps)
-                    null = narrowed
-                if due:
-                    null = self._complete(col + 1, groups)
-                    if null is None:
-                        continue
+            # [1 | P] has col + 2 columns, so r >= m - (col + 2).
+            if len(groups) == m and m - (col + 2) < self.max_deps:
+                pivots, deps = _dependencies([(pattern << 1) | 1 for _, pattern, _ in groups])
+                if len(deps) < self.max_deps and self._complete(col + 1, groups, pivots, deps):
+                    continue
             walks.append(self._splits(col + 1, self.alpha[col + 1], groups))
-            nulls.append(null)
 
     def _record(self, rows: list[tuple[int, ...]]) -> None:
         self.solutions.append(tuple(sorted(rows)))
@@ -336,34 +322,31 @@ class _Search:
             self.stopped = True
 
     def _complete(
-        self, k: int, groups: list[tuple[int, int, list[int]]]
-    ) -> list[int] | None:
-        """Decide every unplaced column from the k placed ones, or say why not.
+        self, k: int, groups: list[tuple[int, int, list[int]]],
+        pivots: dict[int, tuple[int, int]], deps: list[int],
+    ) -> bool:
+        """Decide every unplaced column from the k placed ones; False walks on.
 
         ``groups`` are the m single rows; row i, with placed bits p_i, is the
-        int ``(p_i << 1) | 1`` of ``[1 | P]``. An unplaced column c, as an
-        m-bit row mask x, must meet ``[1 | P]' x = (a_cc, a_0c, ...,
-        a_(k-1)c)``. One XOR elimination of the rows (``_dependencies``) gives
-        pivots and a basis of the r dependencies mod 2. Reducing c's counts
-        mod 2 against the pivots gives one solution x0 mod 2, or none, which
-        prunes the node. Every 0/1 column meeting c's counts lies in
+        int ``(p_i << 1) | 1`` of ``[1 | P]``, and ``pivots, deps`` are the
+        XOR elimination of those rows (``_dependencies``), with r = len(deps)
+        below ``max_deps``. An unplaced column c, as an m-bit row mask x,
+        must meet ``[1 | P]' x = (a_cc, a_0c, ..., a_(k-1)c)``. Reducing c's
+        counts mod 2 against the pivots gives one solution x0 mod 2, or none,
+        which prunes the node. Every 0/1 column meeting c's counts lies in
         ``x0 ^ span(deps)``, so those 2^r candidates are checked exactly, by
         ``bit_count``, against the total, the placed columns and the columns
         decided before c. No fit prunes the node. Two fits end the
-        completion: it returns the dependencies, and the walk goes on below
-        the node. So does ``2^r > m + 1``, more candidates per column than
-        the m + 1 nodes the walk spends on one at least. With one fit per
+        completion, and the walk goes on below the node. With one fit per
         column, ``[P | X]' X`` must equal alpha's unplaced columns (where
         r = 0, the one exact check), and the batch, the only one below the
-        node, is recorded. Returns None when the node is decided.
+        node, is recorded. Returns True when the node is decided: recorded
+        or pruned.
         """
         m, d = self.m, self.d
         self.nodes += 1
         self.column_nodes[k] += 1
         self.completions_tried += 1
-        pivots, deps = _dependencies([(pattern << 1) | 1 for _, pattern, _ in groups])
-        if len(deps) >= self.max_deps:
-            return deps
         candidates = [0]
         for dep in deps:
             candidates += [s ^ dep for s in candidates]
@@ -386,7 +369,7 @@ class _Search:
             while b:
                 pivot = pivots.get(b.bit_length())
                 if pivot is None:
-                    return None
+                    return True
                 b ^= pivot[0]
                 fit ^= pivot[1]
             if deps:
@@ -401,10 +384,10 @@ class _Search:
                             break
                     else:
                         if fit is not None:
-                            return deps
+                            return False
                         fit = x
                 if fit is None:
-                    return None
+                    return True
             cols[c] = fit
         # One fit per column; where r = 0 it is checked only here.
         width = (m + 7) // 8
@@ -416,7 +399,7 @@ class _Search:
         if (bits @ bits[k:].T == self.gram[:, k:]).all():
             self.completions_taken += 1
             self._record(list(map(tuple, bits.T.tolist())))
-        return None
+        return True
 
     def _splits(
         self, col: int, row: list[int], groups: list[tuple[int, int, list[int]]]
@@ -514,23 +497,6 @@ def _dependencies(rows: list[int]) -> tuple[dict[int, tuple[int, int]], list[int
         else:
             deps.append(mask)
     return pivots, deps
-
-
-def _narrow(
-    null: list[int], groups: list[tuple[int, int, list[int]]], col: int
-) -> list[int] | None:
-    """The dependencies ``null`` among the rows of ``[1 | P]`` once column ``col`` joins P.
-
-    One survives iff it meets the new column in an even number of rows, and
-    adding the first odd one to each other odd one makes that even. The same
-    list comes back when none is odd, and None when none is left, where a
-    completion has one candidate per column and always decides the node.
-    """
-    x = sum(1 << i for i, (_, pattern, _) in enumerate(groups) if pattern >> col & 1)
-    odd = [n for n in null if (n & x).bit_count() & 1]
-    if not odd:
-        return null
-    return [n ^ odd[0] if n in odd else n for n in null if n != odd[0]] or None
 
 
 def _search_status(found: int, exhausted: bool) -> str:

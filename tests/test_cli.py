@@ -222,17 +222,22 @@ class TestAttackCommand:
         assert result.exit_code == cli.EXIT_USAGE
         assert "differ in width" in result.output
 
-    @pytest.mark.parametrize("rate", ["1e-310", "1e-320"])
-    def test_rate_below_float_precision_reports_non_finite(self, runner, tmp_path, rate):
-        # A positive rate whose design entries are subnormal: the solve overflows.
+    @pytest.mark.parametrize("rate, mode", [
+        (rate, mode) for mode in ([], ["--mode", "asynchronized", "--batches", "2"])
+        for rate in ("1e-310", "1e-320")
+    ], ids=["1e-310", "1e-320", "async-1e-310", "async-1e-320"])
+    def test_rate_below_float_precision_reports_non_finite(self, runner, tmp_path, rate, mode):
+        # A positive rate whose design entries are subnormal: the sync solve
+        # overflows and the async one loses rank, so recovery refuses it first.
         transcript, report = tmp_path / "t.json", tmp_path / "r.json"
         run_ok(runner, [
-            "simulate", "--m", "3", "--d", "4", "--rounds", "7", "--seed", "1",
+            "simulate", *mode, "--m", "3", "--d", "4", "--rounds", "7", "--seed", "1",
             "--lambda", rate, "--out", str(transcript),
         ])
         result = runner.invoke(main, ["attack", str(transcript), "--out", str(report)])
         assert result.exit_code == cli.EXIT_NOT_INTEGRAL, result.output
         assert "NonFinite:" in result.output
+        assert f"learning rate {float(rate)!r}" in result.output
         assert not report.exists()
 
 
@@ -814,7 +819,18 @@ ATTACK_EXIT_CODES = {0, cli.EXIT_USAGE, cli.EXIT_RANK_DEFICIENT, cli.EXIT_NOT_IN
 def test_any_edited_transcript_gets_a_documented_exit(target, edit):
     # One value of a valid transcript dropped, wrapped in a list or replaced.
     mode, path = target
-    doc = copy.deepcopy(simulated_transcripts()[mode])
+    doc = edited_copy(simulated_transcripts()[mode], path, edit)
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("t.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, ["attack", "t.json", "--out", "r.json"])
+    assert result.exit_code in ATTACK_EXIT_CODES, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def edited_copy(doc, path, edit):
+    """A deep copy of ``doc`` with the value at ``path`` dropped, wrapped or replaced."""
+    doc = copy.deepcopy(doc)
     parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
     key = path[-1]
     if edit == "drop":
@@ -823,9 +839,39 @@ def test_any_edited_transcript_gets_a_documented_exit(target, edit):
         parent[key] = [parent[key]]
     else:
         parent[key] = edit[1]
+    return doc
+
+
+@functools.cache
+def sync_report():
+    """The ``attack`` report of the synchronized transcript above, as a JSON document."""
     runner = CliRunner()
     with runner.isolated_filesystem():
-        Path("t.json").write_text(json.dumps(doc))
-        result = runner.invoke(main, ["attack", "t.json", "--out", "r.json"])
-    assert result.exit_code in ATTACK_EXIT_CODES, result.output
+        Path("t.json").write_text(json.dumps(simulated_transcripts()[fedsim.SYNCHRONIZED]))
+        run_ok(runner, ["attack", "t.json", "--out", "r.json"])
+        return json.loads(Path("r.json").read_text())
+
+
+REPORT_EDITS = EDITS + [("replace", v) for v in [2**63 - 1, -2**63, -1]]
+RECONSTRUCT_EXIT_CODES = {0, cli.EXIT_USAGE, cli.EXIT_SCREEN, cli.EXIT_INFEASIBLE,
+                          cli.EXIT_DEADLINE, cli.EXIT_NO_LABELS, cli.EXIT_UNVERIFIED}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    path=st.deferred(lambda: st.sampled_from(list(json_paths(sync_report())))),
+    edit=st.sampled_from(REPORT_EDITS),
+    args=st.sampled_from([["--m", "3"], ["--discover"], ["--m", "3", "--limit", "0"]]),
+)
+@example(path=("alpha", 2, 2), edit=("replace", 2**63 - 1), args=["--discover"])
+@example(path=("alpha", 1, 2), edit=("replace", -2**63), args=["--m", "3"])
+@example(path=("beta", 1), edit=("replace", 2**63 - 1), args=["--m", "3", "--limit", "0"])
+def test_any_edited_report_gets_a_documented_exit(path, edit, args):
+    # One value of a valid recovery report dropped, wrapped in a list or replaced.
+    doc = edited_copy(sync_report(), path, edit)
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("r.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, ["reconstruct", "r.json", *args, "--out", "s.json"])
+    assert result.exit_code in RECONSTRUCT_EXIT_CODES, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)

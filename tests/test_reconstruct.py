@@ -342,13 +342,12 @@ class TestSolve:
 class WalkOnly(reconstruct._Search):
     """The search with its linear completion switched off: the reference walk.
 
-    Every completion walks on without counting a node, with no dependency
-    that a column could remove, so no node below it tries again and the
-    walk places every column.
+    Every completion walks on without counting a node, so the walk places
+    every column.
     """
 
-    def _complete(self, k, groups):
-        return []
+    def _complete(self, k, groups, pivots, deps):
+        return False
 
 
 def identity_order_search(alpha, m, limit=None, search=reconstruct._Search):
@@ -385,16 +384,16 @@ def walk_digest(batches):
 # columns.
 IDENTITY_ORDER_WALKS = [
     ((70, 3, 3, 5, None), (17, "unique", True, "5a225fc940af52a2", 12)),
-    ((71, 5, 5, 10, None), (53, "unique", True, "1e26187773e6b065", 16)),
+    ((71, 5, 5, 10, None), (53, "unique", True, "1e26187773e6b065", 10)),
     ((72, 5, 5, 10, 1), (62, "limit_reached", False, "572457da3a214a64", 20)),
     ((73, 8, 8, 5, None), (62, "multiple", True, "85a40f3748975d6f", 62)),
-    ((74, 8, 8, 10, 2), (103, "unique", True, "f39c39879666b97a", 56)),
+    ((74, 8, 8, 10, 2), (103, "unique", True, "f39c39879666b97a", 23)),
     ((75, 9, 9, 5, 2), (80, "multiple", False, "e83a40473bdd4ebe", 80)),
-    ((76, 9, 9, 15, 2), (164, "unique", True, "a356dec4559ce052", 57)),
+    ((76, 9, 9, 15, 2), (164, "unique", True, "a356dec4559ce052", 58)),
     ((77, 11, 11, 5, None), (57, "multiple", True, "19b8c8c7d8285c26", 57)),
-    ((78, 11, 11, 10, 1), (210, "limit_reached", False, "07c36e6b7819d3bd", 210)),
-    ((79, 11, 11, 20, 2), (8885, "unique", True, "0f5c69fc1427b9b3", 8513)),
-    ((80, 11, 11, 15, None), (750, "unique", True, "2b10756ae5c784f7", 595)),
+    ((78, 11, 11, 10, 1), (210, "limit_reached", False, "07c36e6b7819d3bd", 149)),
+    ((79, 11, 11, 20, 2), (8885, "unique", True, "0f5c69fc1427b9b3", 6958)),
+    ((80, 11, 11, 15, None), (750, "unique", True, "2b10756ae5c784f7", 222)),
     ((86, 6, 5, 8, None), (27, "infeasible", True, "4f53cda18c2baa0c", 18)),
     ((88, 3, 3, 100, 2), (395, "unique", True, "9ce962a375af7d9d", 12)),
     ((89, 4, 4, 200, 2), (994, "unique", True, "ae0bd281949a39fe", 18)),
@@ -408,11 +407,11 @@ GOLDEN_SEARCHES = [
     ((75, 9, 9, 5, 2), (41, "multiple", False, "a808a8048dfc0b65", 41)),
     ((76, 9, 9, 15, 2), (153, "unique", True, "a356dec4559ce052", 88)),
     ((77, 11, 11, 5, None), (34, "multiple", True, "4b2fb2e85049baed", 34)),
-    ((78, 11, 11, 10, 1), (153, "limit_reached", False, "07c36e6b7819d3bd", 153)),
-    ((79, 11, 11, 20, 2), (477, "unique", True, "0f5c69fc1427b9b3", 190)),
-    ((80, 11, 11, 15, None), (323, "unique", True, "2b10756ae5c784f7", 186)),
+    ((78, 11, 11, 10, 1), (153, "limit_reached", False, "07c36e6b7819d3bd", 103)),
+    ((79, 11, 11, 20, 2), (477, "unique", True, "0f5c69fc1427b9b3", 79)),
+    ((80, 11, 11, 15, None), (323, "unique", True, "2b10756ae5c784f7", 136)),
     ((86, 6, 5, 8, None), (7, "infeasible", True, "4f53cda18c2baa0c", 7)),
-    ((87, 16, 16, 30, None), (4599, "unique", True, "bfe52dc7e2c2af03", 2585)),
+    ((87, 16, 16, 30, None), (4599, "unique", True, "bfe52dc7e2c2af03", 2055)),
     ((88, 3, 3, 100, 2), (331, "unique", True, "9ce962a375af7d9d", 132)),
     ((89, 4, 4, 200, 2), (842, "unique", True, "ae0bd281949a39fe", 281)),
 ]
@@ -425,11 +424,11 @@ FOLDED_SEARCHES = [
     ((75, 9, 9, 5, 2), (41, "multiple", False, "a808a8048dfc0b65", 41)),
     ((76, 9, 9, 15, 2), (144, "unique", True, "a356dec4559ce052", 79)),
     ((77, 11, 11, 5, None), (34, "multiple", True, "4b2fb2e85049baed", 34)),
-    ((78, 11, 11, 10, 1), (153, "limit_reached", False, "07c36e6b7819d3bd", 153)),
-    ((79, 11, 11, 20, 2), (461, "unique", True, "0f5c69fc1427b9b3", 190)),
-    ((80, 11, 11, 15, None), (323, "unique", True, "2b10756ae5c784f7", 186)),
+    ((78, 11, 11, 10, 1), (153, "limit_reached", False, "07c36e6b7819d3bd", 103)),
+    ((79, 11, 11, 20, 2), (461, "unique", True, "0f5c69fc1427b9b3", 79)),
+    ((80, 11, 11, 15, None), (323, "unique", True, "2b10756ae5c784f7", 136)),
     ((86, 6, 5, 8, None), (7, "infeasible", True, "4f53cda18c2baa0c", 7)),
-    ((87, 16, 16, 30, None), (4599, "unique", True, "bfe52dc7e2c2af03", 2585)),
+    ((87, 16, 16, 30, None), (4599, "unique", True, "bfe52dc7e2c2af03", 2055)),
     ((88, 3, 3, 100, 2), (11, "unique", True, "9ce962a375af7d9d", 8)),
     ((89, 4, 4, 200, 2), (35, "unique", True, "ae0bd281949a39fe", 14)),
 ]
@@ -573,6 +572,33 @@ class Ungated(reconstruct._Search):
         self.max_deps = m + 1
 
 
+class LoggedSearch(reconstruct._Search):
+    """The search, logging each node of m single rows and each completion.
+
+    ``single_rows`` holds (placed columns, r) per node, r counted by
+    ``_dependencies`` on the rows of ``[1 | P]``; ``completions`` holds (node
+    index, placed columns, recorded a batch) per ``_complete`` call.
+    """
+
+    def __init__(self, alpha, m, limit, deadline_at):
+        super().__init__(alpha, m, limit, deadline_at)
+        self.single_rows = []
+        self.completions = []
+
+    def _splits(self, col, row, groups):
+        for split in super()._splits(col, row, groups):
+            if len(split) == self.m and col + 1 < self.d:
+                rows = [(p << 1) | 1 for _, p, _ in split]
+                self.single_rows.append((col + 1, len(reconstruct._dependencies(rows)[1])))
+            yield split
+
+    def _complete(self, k, groups, pivots, deps):
+        found = len(self.solutions)
+        decided = super()._complete(k, groups, pivots, deps)
+        self.completions.append((len(self.single_rows) - 1, k, len(self.solutions) > found))
+        return decided
+
+
 class TestLinearCompletion:
     @pytest.mark.parametrize("search", [reconstruct._Search, Ungated], ids=["gated", "always"])
     def test_sets_match_the_reference_walk(self, monkeypatch, search):
@@ -618,7 +644,7 @@ class TestLinearCompletion:
                 assert walk.nodes <= reference.nodes + walk.completions_tried
 
     def test_gate_changes_only_node_counts(self):
-        # Past the gate a completion walks on, where all 2^r candidates may
+        # Past the gate the walk goes on, where all 2^r candidates may
         # have decided the node: the same batches, more nodes.
         rng = np.random.default_rng(93)
         more = 0
@@ -629,6 +655,25 @@ class TestLinearCompletion:
             assert gated.solutions == ungated.solutions
             more += gated.nodes > ungated.nodes
         assert more >= 3
+
+    def test_completion_is_tried_where_two_to_the_r_fits(self):
+        # Every node of m single rows tries a completion exactly where
+        # 2^r <= m + 1. With k < m - 1 columns placed, [1 | P] has r >= 1,
+        # and such completions still record batches.
+        rng = np.random.default_rng(99)
+        nodes = early = 0
+        for trial in range(60):
+            m = int(rng.integers(4, 12))
+            d = int(rng.integers(m, 2 * m + 2))
+            x = dependent_rows(rng, m, d) if trial % 3 == 0 else rng.integers(0, 2, (m, d))
+            for limit in (None, 1):
+                walk = identity_order_search(gram_of(x), m, limit, LoggedSearch)
+                due = [i for i, (_, r) in enumerate(walk.single_rows) if 2 ** r <= m + 1]
+                assert [i for i, _, _ in walk.completions] == due
+                assert walk.completions_tried == len(due)
+                nodes += len(walk.single_rows)
+                early += sum(taken and k < m - 1 for _, k, taken in walk.completions)
+        assert nodes > early >= 20
 
     def test_limited_walks_keep_their_order(self):
         # A completion records its batch where the walk below would have, so
@@ -726,7 +771,8 @@ class TestLinearCompletion:
                         continue
                     expected, batch = complete_by_enumeration(alpha, m, k, groups)
                     node = reconstruct._Search(alpha, m, None, None)
-                    if node._complete(k, groups) is not None:
+                    pivots, deps = reconstruct._dependencies([(p << 1) | 1 for _, p, _ in groups])
+                    if len(deps) >= node.max_deps or not node._complete(k, groups, pivots, deps):
                         outcome = "walk"
                     else:
                         outcome = "record" if node.solutions else "prune"
@@ -807,30 +853,6 @@ class TestDependenciesModTwo:
             assert span(basis) == expected
             dependent += bool(basis)
         assert 100 <= dependent < 300
-
-    def test_narrow_matches_the_extended_rows(self):
-        # Rows as ``_complete`` builds them: the ones column, then k placed bits.
-        rng = np.random.default_rng(96)
-        narrowed = left = 0
-        for _ in range(400):
-            m = int(rng.integers(2, 11))
-            k = int(rng.integers(0, m))
-            patterns = [int(v) for v in rng.integers(0, 1 << k, m)] if k else [0] * m
-            _, basis = reconstruct._dependencies([(p << 1) | 1 for p in patterns])
-            column = rng.integers(0, 2, m).tolist()
-            extended = [p | bit << k for p, bit in zip(patterns, column)]
-            groups = [(1, p, []) for p in extended]
-            got = reconstruct._narrow(basis, groups, k)
-            _, expected = reconstruct._dependencies([(p << 1) | 1 for p in extended])
-            if not basis:
-                assert got == [] and expected == []
-            elif got is None:
-                assert expected == []
-                left += 1
-            else:
-                assert expected and span(got) == span(expected)
-                narrowed += len(got) < len(basis)
-        assert narrowed >= 50 and left >= 20
 
     def test_full_rank_mod_two_is_full_rank(self):
         # Rows independent mod 2 are independent over the rationals.
